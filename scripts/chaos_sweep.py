@@ -9,9 +9,9 @@ This script is the claim's executable proof, and what the CI
 1. build a real MPKI sweep grid (``--points``, default 16) over the
    paper's eight workloads;
 2. run it serially under a plain supervisor — the ground truth;
-3. run it again on the ledger fabric (``--backend shard`` by default)
-   while a seeded chaos monkey SIGKILLs live workers (``--kills``,
-   default 3) at pseudo-random driver cycles;
+3. run it again on the shard fabric while a seeded chaos monkey
+   SIGKILLs live workers (``--kills``, default 3) at pseudo-random
+   driver cycles;
 4. fail unless (a) every kill was delivered while the sweep was still
    running, (b) the fabric's result list is byte-identical to the
    serial one, and (c) the ledger holds exactly one ``done`` record
@@ -30,7 +30,6 @@ Usage::
 
     python scripts/chaos_sweep.py                       # 16 points, 3 kills
     python scripts/chaos_sweep.py --points 24 --shards 3 --kills 4 --seed 7
-    python scripts/chaos_sweep.py --backend remote --kills 1
     python scripts/chaos_sweep.py --quarantine-smoke
 """
 
@@ -51,10 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.faults.spec import FaultSpec  # noqa: E402
 from repro.harness.executors import tasks  # noqa: E402
-from repro.harness.executors.base import (  # noqa: E402
-    FABRIC_BACKENDS,
-    FabricConfig,
-)
+from repro.harness.executors.base import FabricConfig  # noqa: E402
 from repro.harness.supervisor import (  # noqa: E402
     SupervisorContext,
     SupervisorPolicy,
@@ -149,8 +145,8 @@ def run_chaos(args: argparse.Namespace) -> int:
     keys = [SweepJournal.point_key(task, item) for item in grid]
 
     print(f"chaos sweep: {len(grid)} points, task={args.task}, "
-          f"backend={args.backend}, shards={args.shards}, "
-          f"kills={args.kills}, seed={args.seed}, lease_ttl={args.lease_ttl}")
+          f"shards={args.shards}, kills={args.kills}, seed={args.seed}, "
+          f"lease_ttl={args.lease_ttl}")
 
     print("serial baseline ...")
     baseline = supervised_map(task, grid, context=SupervisorContext())
@@ -159,7 +155,6 @@ def run_chaos(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         ledger_path = Path(args.ledger) if args.ledger else Path(tmp) / "ledger.jsonl"
         fabric = FabricConfig(
-            backend=args.backend,
             shards=args.shards,
             lease_ttl=args.lease_ttl,
             ledger_path=str(ledger_path),
@@ -206,12 +201,10 @@ def run_chaos(args: argparse.Namespace) -> int:
 def run_quarantine_smoke(args: argparse.Namespace) -> int:
     """Poison-point smoke: the fabric must quarantine, not retry forever."""
     grid = [("poison", 0, 0, 0)]
-    print(f"quarantine smoke: 1 poison point, backend={args.backend}, "
-          f"shards={args.shards}")
+    print(f"quarantine smoke: 1 poison point, shards={args.shards}")
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         ledger_path = Path(args.ledger) if args.ledger else Path(tmp) / "ledger.jsonl"
         fabric = FabricConfig(
-            backend=args.backend,
             shards=args.shards,
             lease_ttl=min(args.lease_ttl, 0.5),
             quarantine_after=2,
@@ -268,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-ttl", type=float, default=2.0,
                         help="lease TTL in seconds (default: 2; short, so "
                         "stolen points recover fast)")
-    parser.add_argument("--backend", choices=list(FABRIC_BACKENDS),
-                        default="shard",
-                        help="ledger backend to chaos-test (default: shard)")
     parser.add_argument("--task", choices=sorted(TASKS), default="slow",
                         help="grid task: 'slow' (~100 ms model points — "
                         "reliably killable mid-flight), 'model' "

@@ -157,46 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--phases", action="store_true", help="print the phase analysis of the run"
     )
-    parser.add_argument(
-        "--trace-cache",
-        metavar="DIR",
-        default=None,
-        help="persist captured traces under DIR and reuse them across "
-        "invocations (default: $REPRO_TRACE_CACHE; 'off' disables)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for a multi-size sweep (0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default="pool",
-        help="where sweep points execute: 'pool' (in-process worker "
-        "pool), 'shard' (independent work-stealing worker processes "
-        "coordinating through a lease ledger), or 'remote' (the same "
-        "ledger workers launched via a command template); ledger "
-        "backends survive SIGKILLed workers (default: pool)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker count for the ledger executors (default: 2)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds a fabric worker's claim on a point stays "
-        "exclusive without a heartbeat; after expiry any worker may "
-        "steal the point (default: 30)",
-    )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--strict",
@@ -221,6 +181,80 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/architecture.md for the channel taxonomy)",
     )
     parser.add_argument(
+        "--journal",
+        metavar="FILE",
+        default=None,
+        help="checkpoint completed sweep points to FILE (JSONL)",
+    )
+    parser.add_argument(
+        "--audit",
+        choices=sorted(AUDIT_MODES),
+        default=None,
+        help="end-of-run invariant audit: 'sample' checks conservation, "
+        "cross-domain, and a 1-in-64 LRU differential oracle; 'full' "
+        "oracles every set (default: $REPRO_AUDIT, else off)",
+    )
+    parser.add_argument(
+        "--fail-on-degraded",
+        action="store_true",
+        help="exit nonzero if any result carries degradation records "
+        "(injected faults, recovered anomalies, or lenient-mode audit "
+        "violations)",
+    )
+    add_execution_arguments(parser)
+    return parser
+
+
+def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The execution flags ``repro-cosim`` and ``repro-runall`` share.
+
+    How a sweep runs — workers, executor, supervision, resource budget,
+    telemetry — means the same in both CLIs, so it is defined once.
+    Flags whose meaning differs per CLI (``--journal``, ``--lenient``,
+    ``--inject``, ``--sample``, ``--audit``, ``--fail-on-degraded``)
+    stay with each parser.
+    """
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes for the sweep grids (default: serial; "
+        "0 means one per CPU); output is byte-identical to a serial run",
+    )
+    parser.add_argument(
+        "--executor",
+        choices=list(EXECUTOR_NAMES),
+        default="pool",
+        help="where sweep points execute: 'pool' (in-process, or a "
+        "local worker pool with --jobs > 1) or 'shard' (independent "
+        "work-stealing worker processes coordinating through a lease "
+        "ledger; survives SIGKILLed workers) (default: pool)",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=2,
+        metavar="N",
+        help="worker count for --executor shard (default: 2)",
+    )
+    parser.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="seconds a shard worker's claim on a point stays "
+        "exclusive without a heartbeat; after expiry any worker may "
+        "steal the point (default: 30)",
+    )
+    parser.add_argument(
+        "--trace-cache",
+        metavar="DIR",
+        default=None,
+        help="persist captured traces under DIR and reuse them across "
+        "invocations (default: $REPRO_TRACE_CACHE; 'off' disables)",
+    )
+    parser.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -236,23 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-runs granted to a failing sweep point (default: 2)",
     )
     parser.add_argument(
-        "--journal",
-        metavar="FILE",
-        default=None,
-        help="checkpoint completed sweep points to FILE (JSONL)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
-        help="skip points already recorded in --journal FILE",
-    )
-    parser.add_argument(
-        "--audit",
-        choices=sorted(AUDIT_MODES),
-        default=None,
-        help="end-of-run invariant audit: 'sample' checks conservation, "
-        "cross-domain, and a 1-in-64 LRU differential oracle; 'full' "
-        "oracles every set (default: $REPRO_AUDIT, else off)",
+        help="skip points already recorded in the --journal file",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -288,13 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         "as degradation",
     )
     parser.add_argument(
-        "--fail-on-degraded",
-        action="store_true",
-        help="exit nonzero if any result carries degradation records "
-        "(injected faults, recovered anomalies, or lenient-mode audit "
-        "violations)",
-    )
-    parser.add_argument(
         "--telemetry",
         nargs="?",
         const=True,
@@ -322,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "accesses/sec, trace-cache hit rate, supervisor events); with a "
         "path, also write it as JSON (implies --telemetry)",
     )
-    return parser
 
 
 def telemetry_requested(args: argparse.Namespace) -> bool:
@@ -331,11 +343,7 @@ def telemetry_requested(args: argparse.Namespace) -> bool:
 
 
 def build_budget(args: argparse.Namespace) -> ResourceBudget | None:
-    """The resource budget from CLI flags; None when no axis is set.
-
-    Shared by ``repro-cosim`` and ``repro-runall`` — both expose the
-    same ``--deadline``/``--disk-quota``/``--mem-budget`` triple.
-    """
+    """The resource budget from CLI flags; None when no axis is set."""
     disk = parse_size(args.disk_quota) if args.disk_quota else None
     mem = parse_size(args.mem_budget) if args.mem_budget else None
     if disk is None and mem is None and args.deadline is None:
@@ -367,14 +375,12 @@ def startup_gc(args: argparse.Namespace, trace_cache) -> None:
 def build_fabric_config(args: argparse.Namespace) -> FabricConfig | None:
     """The sweep-fabric shape from CLI flags; None in ``pool`` mode.
 
-    Shared by ``repro-cosim`` and ``repro-runall``: both expose the
-    same ``--executor``/``--shards``/``--lease-ttl`` triple, and in
-    fabric mode both reuse ``--journal`` as the shared ledger path.
+    Shared by ``repro-cosim`` and ``repro-runall``: in ``shard`` mode
+    both reuse ``--journal`` as the shared ledger path.
     """
     if args.executor == "pool":
         return None
     return FabricConfig(
-        backend=args.executor,
         shards=args.shards,
         lease_ttl=args.lease_ttl,
         ledger_path=args.journal,

@@ -1,34 +1,26 @@
-"""Pluggable executor backends for supervised sweeps — the sweep fabric.
+"""Executor backends for supervised sweeps — where sweep points run.
 
-The supervisor used to be welded to one local
-:class:`~concurrent.futures.ProcessPoolExecutor`: one dead machine or
-wedged pool lost the run.  This package splits *what the supervisor
-does* (retry, journal, drain, report) from *where points execute*
-behind a small :class:`~repro.harness.executors.base.Executor`
-protocol, with three backends:
+:func:`~repro.harness.supervisor.supervised_map` is the one map path;
+it owns what happens around a point (retry, journal, drain, report)
+and hands execution to one of two backends, picked by ``--executor``:
 
-* ``pool`` — the in-process worker pool the supervisor always had
-  (:mod:`~repro.harness.executors.local`);
+* ``pool`` (the default) — in-process when ``jobs`` ≤ 1, otherwise
+  worker processes in one local pool driven by the supervisor's pool
+  loop (:mod:`~repro.harness.executors.local`);
 * ``shard`` — N independent forked worker processes, each running a
   lease-based work-stealing loop over a shared ledger
-  (:mod:`~repro.harness.executors.shard`);
-* ``remote`` — the same worker loop launched through a shell command
-  template (:mod:`~repro.harness.executors.remote`), exercising the
-  exact code path an SSH or k8s backend would: the worker gets a
-  ledger path and an identity, nothing else crosses the boundary.
+  (:mod:`~repro.harness.executors.shard`), which survives workers
+  SIGKILLed at any instruction.
 
-Coordination between ledger workers is described in
+Coordination between shard workers is described in
 :mod:`~repro.harness.executors.ledger`; the parent-side driver that
 turns a ledger sweep back into an ordered result list lives in
 :mod:`~repro.harness.executors.fabric`.
 """
 
 from repro.harness.executors.base import (
-    FABRIC_BACKENDS,
     EXECUTOR_NAMES,
-    Executor,
     FabricConfig,
-    LivenessReport,
     PointEvent,
     SubmittedPoint,
 )
@@ -37,27 +29,11 @@ from repro.harness.executors.local import LocalPoolExecutor
 
 __all__ = [
     "EXECUTOR_NAMES",
-    "FABRIC_BACKENDS",
-    "Executor",
     "FabricConfig",
     "FabricLedger",
     "LedgerState",
-    "LivenessReport",
     "LocalPoolExecutor",
     "PointEvent",
     "PointState",
     "SubmittedPoint",
-    "make_backend",
-    "run_fabric",
 ]
-
-
-def __getattr__(name: str):
-    # The fabric driver pulls in the supervisor lazily; mirror that
-    # here so ``from repro.harness.executors import run_fabric`` works
-    # without forcing the import cycle at package-import time.
-    if name in ("make_backend", "run_fabric"):
-        from repro.harness.executors import fabric
-
-        return getattr(fabric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,56 +1,24 @@
-"""The ``Executor`` protocol and the fabric configuration.
+"""What the two sweep backends share: point and event records, and
+the shard fabric's configuration.
 
-An executor backend owns *where* sweep points run; the supervisor (for
-the ``pool`` backend) or the fabric driver (for the ledger backends)
-owns *what happens around them* — retries, journaling, quarantine,
-reporting.  The protocol is four verbs:
-
-``submit``
-    Hand one prepared point to the backend.  The local pool starts it
-    on a worker immediately; ledger backends append it to the shared
-    manifest for any worker to claim.
-``poll``
-    Block up to a timeout and return what changed: completed points,
-    failed attempts, crashed workers, lease activity.
-``liveness``
-    Report each worker's vital signs (process aliveness plus, for
-    ledger workers, the age of their last heartbeat) so the driver can
-    respawn the dead and export a heartbeat-age gauge.
-``cancel``
-    Drain the backend: SIGTERM the workers, wait out a grace period,
-    SIGKILL the stragglers.  Safe to call at any time — ledger state
-    survives, and a later run resumes from it.
-
-``respawn`` rounds the protocol out: replace dead capacity without
-disturbing surviving work (for the local pool, which cannot keep
-survivors across a dead worker, it rebuilds the whole pool).
+The supervisor's pool loop drives
+:class:`~repro.harness.executors.local.LocalPoolExecutor` and the
+fabric driver drives :class:`~repro.harness.executors.shard.
+ShardExecutor`; each caller knows its backend's class.  Both take a
+:class:`SubmittedPoint` per grid point and report back as
+:class:`PointEvent` records, which is all the two drivers share.
 """
 
 from __future__ import annotations
 
 import os
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
 #: Executor selector values accepted by ``--executor``.
-EXECUTOR_NAMES = ("pool", "shard", "remote")
-
-#: The subset of backends that coordinate through a lease ledger (and
-#: therefore run through the fabric driver instead of the pool loop).
-FABRIC_BACKENDS = ("shard", "remote")
-
-#: Default command template for the ``remote`` backend.  Placeholders:
-#: ``{python}`` (this interpreter), ``{ledger}`` (the shared ledger
-#: path), ``{worker_id}`` (the worker's identity).  A real SSH or k8s
-#: backend is this template with a transport prefix — the worker-side
-#: contract is identical.
-DEFAULT_WORKER_COMMAND = (
-    "{python} -m repro.harness.executors.worker"
-    " --ledger {ledger} --worker-id {worker_id}"
-)
+EXECUTOR_NAMES = ("pool", "shard")
 
 
 @dataclass(frozen=True)
@@ -88,7 +56,7 @@ class PointEvent:
       fault of its own; re-run without charging an attempt.
     * ``respawn`` — the backend replaced dead capacity on its own.
 
-    Ledger backends add lease-level kinds: ``lease`` (a worker claimed
+    The shard backend adds lease-level kinds: ``lease`` (a worker claimed
     a point), ``steal`` (the claim reclaimed an expired lease),
     ``failed`` (one recorded attempt raised; ``attempts`` tells the
     driver whether retries remain), ``quarantined`` (the point killed
@@ -97,8 +65,8 @@ class PointEvent:
     ``conflict`` (it did not — the sweep must fail).
 
     ``handle`` identifies the in-flight record the driver keyed the
-    point under (the local pool uses the future itself, ledger
-    backends the content key); events that concern no single point
+    point under (the local pool uses the future itself, the shard
+    backend the content key); events that concern no single point
     (``respawn``) carry ``handle=None``.
     """
 
@@ -107,66 +75,17 @@ class PointEvent:
     value: Any = None
     error: BaseException | None = None
     wall_time_s: float | None = None
-    #: Ledger backends also report which worker produced the event and
-    #: which attempt it was; the local pool leaves these unset.
+    #: The shard backend also reports which worker produced the event
+    #: and which attempt it was; the local pool leaves these unset.
     worker: str | None = None
     attempts: int | None = None
 
 
-@dataclass
-class LivenessReport:
-    """Vital signs of a backend's workers at one instant."""
-
-    #: worker id → alive (process-level: the pid still runs).
-    alive: dict[str, bool] = field(default_factory=dict)
-    #: worker id → seconds since its last ledger heartbeat (ledger
-    #: backends only; the local pool has no heartbeats).
-    heartbeat_age: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def dead(self) -> list[str]:
-        return [wid for wid, ok in self.alive.items() if not ok]
-
-
-class Executor(ABC):
-    """Where sweep points execute.  See the module docstring."""
-
-    #: Backend selector name (``pool`` / ``shard`` / ``remote``).
-    name: str = "?"
-
-    @abstractmethod
-    def submit(self, point: SubmittedPoint) -> Any:
-        """Accept one point; returns the handle ``poll`` events use."""
-
-    @abstractmethod
-    def poll(self, timeout: float | None) -> list[PointEvent]:
-        """Block up to ``timeout`` seconds; return new events."""
-
-    @abstractmethod
-    def liveness(self) -> LivenessReport:
-        """Process aliveness (and heartbeat ages) per worker."""
-
-    @abstractmethod
-    def respawn(self) -> None:
-        """Replace dead capacity; surviving work keeps running where
-        the backend can preserve it."""
-
-    @abstractmethod
-    def cancel(self, grace: float = 5.0) -> None:
-        """Drain: SIGTERM workers, wait ``grace`` seconds, SIGKILL."""
-
-    def close(self) -> None:
-        """Release resources after a clean completion (default: drain)."""
-        self.cancel(grace=0.0)
-
-
 @dataclass(frozen=True)
 class FabricConfig:
-    """How a ledger-backed sweep fabric is shaped.
+    """How the ledger-backed shard fabric is shaped.
 
     Attributes:
-        backend: ``shard`` (forked workers) or ``remote`` (command-
-            template subprocess workers).
         shards: target number of live workers; the driver respawns
             toward this count when workers die.
         lease_ttl: seconds a claim stays exclusive without a heartbeat;
@@ -179,17 +98,14 @@ class FabricConfig:
         ledger_path: the shared ledger file (``--journal`` in the
             CLIs); None lets the driver place one in a temp directory.
         resume: load prior ``done`` records instead of truncating.
-        worker_command: ``remote`` backend launch template (see
-            :data:`DEFAULT_WORKER_COMMAND`).
         grace: drain grace period before SIGKILL.
         max_respawns: hard ceiling on worker respawns per map, so a
-            fleet that dies instantly (bad interpreter, bad template)
-            fails loudly instead of respawning forever.
+            fleet that dies instantly (a broken environment) fails
+            loudly instead of respawning forever.
         observer: test/chaos hook, called as ``observer(backend,
             cycle)`` once per driver poll cycle.
     """
 
-    backend: str = "shard"
     shards: int = 2
     lease_ttl: float = 30.0
     heartbeat_every: float | None = None
@@ -197,17 +113,11 @@ class FabricConfig:
     quarantine_after: int = 3
     ledger_path: str | os.PathLike | None = None
     resume: bool = False
-    worker_command: str = DEFAULT_WORKER_COMMAND
     grace: float = 5.0
     max_respawns: int = 64
     observer: Callable[[Any, int], None] | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in FABRIC_BACKENDS:
-            known = ", ".join(FABRIC_BACKENDS)
-            raise ConfigurationError(
-                f"unknown fabric backend {self.backend!r}; ledger backends: {known}"
-            )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.lease_ttl <= 0:
@@ -228,23 +138,3 @@ class FabricConfig:
             else self.lease_ttl / 3.0
         )
 
-
-def spawn_command(
-    template: str, ledger: str, worker_id: str, python: str
-) -> list[str]:
-    """Expand a worker command template into an argv list."""
-    import shlex
-
-    try:
-        rendered = template.format(
-            python=python, ledger=ledger, worker_id=worker_id
-        )
-    except (KeyError, IndexError) as error:
-        raise ConfigurationError(
-            f"worker command template {template!r} has an unknown "
-            f"placeholder: {error}"
-        ) from error
-    argv = shlex.split(rendered)
-    if not argv:
-        raise ConfigurationError("worker command template expanded to nothing")
-    return argv

@@ -1,6 +1,6 @@
-"""The fabric driver: a supervised map over a ledger-backed fleet.
+"""The fabric driver: a supervised map over the shard fleet.
 
-:func:`run_fabric` is the ledger-backend counterpart of the
+:func:`run_fabric` is the shard backend's counterpart of the
 supervisor's pool loop.  The division of labour is deliberately
 different from the pool's: workers own execution, retries-with-backoff
 (recorded as ``failed`` records), lease renewal, stealing, and
@@ -27,18 +27,8 @@ from typing import Callable
 from repro.errors import QuarantinedPointError, SweepInterrupted
 from repro.harness.executors.base import FabricConfig, SubmittedPoint
 from repro.harness.executors.ledger import ensure_no_conflicts
+from repro.harness.executors.shard import ShardExecutor
 from repro.telemetry import runtime as telemetry
-
-
-def make_backend(config: FabricConfig, ledger_path: str):
-    """Instantiate the configured ledger backend."""
-    if config.backend == "shard":
-        from repro.harness.executors.shard import ShardExecutor
-
-        return ShardExecutor(config, ledger_path)
-    from repro.harness.executors.remote import RemoteExecutor
-
-    return RemoteExecutor(config, ledger_path)
 
 
 def _policy_config(context, config: FabricConfig) -> dict:
@@ -89,7 +79,7 @@ def run_fabric(
         config = dataclasses.replace(config, resume=True)
     context._fabric_ledger_used = True
 
-    backend = make_backend(config, ledger_path)
+    backend = ShardExecutor(config, ledger_path)
     try:
         # A resumed ledger already holds ``done`` records; fold them in
         # before manifesting, exactly as the journal pre-skip does.

@@ -14,7 +14,8 @@ record                meaning
 ``config``            sweep policy workers obey (TTL, retries, backoff,
                       quarantine threshold, optional fault plan)
 ``point``             manifest: one grid point (content key + pickled
-                      ``(task, item)`` payload), appended by the parent
+                      ``(task, item)`` payload), appended by the parent;
+                      a later record for the key starts it afresh
 ``claimed``           a worker took the point, exclusively until
                       ``expires``; ``steal`` marks a reclaimed expired
                       lease
@@ -133,6 +134,15 @@ class PointState:
             or self.attempts() > retries
         )
 
+    def untouched(self) -> bool:
+        """Never claimed, failed or quarantined since its manifest."""
+        return (
+            not self.failed
+            and self.quarantined is None
+            and self.lease_worker is None
+            and not self.expired_holders
+        )
+
     def lease_expired(self, now: float) -> bool:
         return self.lease_worker is not None and now >= self.lease_expires
 
@@ -183,9 +193,17 @@ class LedgerState:
             return
         ps = self.point(key)
         if kind == "point":
-            if ps.payload is None:
-                ps.payload = row.get("payload")
-                ps.checkpoint = row.get("checkpoint")
+            # Every manifest starts the point afresh, as a resumed
+            # journal re-runs every point it holds no result for: the
+            # latest payload wins (a resumed sweep may read its log from
+            # a new place) and attempts, leases and quarantine restart.
+            ps.payload = row.get("payload")
+            ps.checkpoint = row.get("checkpoint")
+            ps.failed = []
+            ps.quarantined = None
+            ps.lease_worker = None
+            ps.lease_expires = 0.0
+            ps.expired_holders = set()
         elif kind == "claimed":
             if row.get("steal") and ps.lease_worker is not None:
                 ps.expired_holders.add(ps.lease_worker)
@@ -382,20 +400,32 @@ class FabricLedger:
         self.append(row)
 
     def manifest(self, points: list[tuple[str, Any, str | None]]) -> int:
-        """Append ``point`` records for keys not already manifested.
+        """Append ``point`` records for keys that still need to run.
 
         ``points`` is ``(key, (task, item), checkpoint_path)``; returns
-        how many were newly manifested (already-manifested keys — a
-        resumed sweep — are skipped, keeping the manifest append-once).
+        how many records were appended.  A key with a ``done`` record is
+        skipped, and so is one whose latest record already carries this
+        payload and checkpoint and that nothing has touched since, so
+        re-manifesting an unchanged sweep appends nothing.  Any other
+        key gets a fresh record, which a resumed sweep needs: a spilled
+        log lives in a new temporary directory on every run, and a
+        point that was claimed, failed or quarantined before the
+        interruption must start over.
         """
         with self._locked():
             self.scan()
             rows = []
             for key, payload, checkpoint in points:
                 ps = self.state.points.get(key)
-                if ps is not None and ps.payload is not None:
+                if ps is not None and ps.done is not None:
                     continue
                 encoded, _ = _encode(payload)
+                if (
+                    ps is not None
+                    and ps.untouched()
+                    and (ps.payload, ps.checkpoint) == (encoded, checkpoint)
+                ):
+                    continue
                 row = {
                     "schema": LEDGER_FORMAT,
                     "type": "point",

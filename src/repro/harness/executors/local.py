@@ -1,10 +1,10 @@
-"""The in-process pool backend: the supervisor's original executor.
+"""The ``pool`` backend: the only process pool in the harness.
 
-Wraps one :class:`~concurrent.futures.ProcessPoolExecutor` behind the
-:class:`~repro.harness.executors.base.Executor` protocol.  The
+Wraps one :class:`~concurrent.futures.ProcessPoolExecutor`.  The
 supervised pool loop (``repro.harness.supervisor._run_pool``) drives
-this backend exclusively through ``submit``/``poll``/``respawn``/
-``cancel``, so the ledger backends slot into the same driver shape.
+it through ``submit``/``poll``/``respawn``/``cancel`` and reads its
+answers as :class:`~repro.harness.executors.base.PointEvent` records,
+the same records the shard backend reports.
 
 One honest limitation is encoded here rather than hidden: when a pool
 worker dies, CPython's pool breaks *entirely* — every in-flight future
@@ -21,12 +21,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import FaultInjectionError
-from repro.harness.executors.base import (
-    Executor,
-    LivenessReport,
-    PointEvent,
-    SubmittedPoint,
-)
+from repro.harness.executors.base import PointEvent, SubmittedPoint
 
 
 def pool_processes(executor: ProcessPoolExecutor) -> list:
@@ -58,22 +53,29 @@ def terminate_pool(executor: ProcessPoolExecutor) -> None:
             pass
 
 
-class LocalPoolExecutor(Executor):
+class LocalPoolExecutor:
     """``--executor pool``: worker processes on this machine."""
-
-    name = "pool"
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
         self._pool = ProcessPoolExecutor(max_workers=workers)
         self._points: dict[Future, SubmittedPoint] = {}
 
-    def submit(self, point: SubmittedPoint) -> Future:
+    def submit(self, point: SubmittedPoint) -> Future | None:
+        """Start ``point``; None if the pool broke since the last poll.
+
+        A worker that dies between two polls breaks the pool before
+        its in-flight futures fail, and the pool then refuses new work.
+        The refused point never started: the caller requeues it, and
+        the next poll reports the casualties and rebuilds the pool.  A
+        pool that broke with nothing in flight has no poll coming, so
+        it is rebuilt here.
+        """
         # Imported here to avoid a module cycle: the supervisor imports
         # this backend at module level.
         from repro.harness.supervisor import _run_point
 
-        future = self._pool.submit(
+        args = (
             _run_point,
             point.task,
             point.item,
@@ -81,6 +83,13 @@ class LocalPoolExecutor(Executor):
             point.hang_seconds,
             point.checkpoint_path,
         )
+        try:
+            future = self._pool.submit(*args)
+        except BrokenProcessPool:
+            if self._points:
+                return None
+            self.respawn()
+            future = self._pool.submit(*args)
         self._points[future] = point
         return future
 
@@ -118,12 +127,6 @@ class LocalPoolExecutor(Executor):
             self.respawn()
             events.append(PointEvent(kind="respawn"))
         return events
-
-    def liveness(self) -> LivenessReport:
-        report = LivenessReport()
-        for process in pool_processes(self._pool):
-            report.alive[str(process.pid)] = process.is_alive()
-        return report
 
     def respawn(self) -> None:
         terminate_pool(self._pool)

@@ -1,11 +1,9 @@
-"""The work-stealing worker loop (and its standalone CLI).
+"""The work-stealing worker loop every shard worker runs.
 
 One worker is deliberately dumb: it knows a ledger path and its own
 name, nothing else.  Policy (lease TTL, retries, backoff, quarantine
 threshold, fault plan) arrives through the ledger's ``config`` record,
-and work arrives through ``point`` records — so the same loop serves
-the forked ``shard`` backend and the command-template ``remote``
-backend, and would serve an SSH or k8s worker unchanged.
+and work arrives through ``point`` records.
 
 The loop::
 
@@ -26,9 +24,7 @@ out) its current point and claims nothing more.
 
 from __future__ import annotations
 
-import argparse
 import os
-import signal
 import threading
 import time
 
@@ -170,32 +166,3 @@ def work_loop(
         _execute(ledger, claim, worker_id, config, spec)
     return 0
 
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.harness.executors.worker``: one fabric worker."""
-    parser = argparse.ArgumentParser(
-        prog="repro-fabric-worker",
-        description="Run one work-stealing sweep-fabric worker against a "
-        "shared ledger file.",
-    )
-    parser.add_argument("--ledger", required=True, help="shared ledger path")
-    parser.add_argument(
-        "--worker-id", required=True, help="this worker's unique identity"
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=None,
-        help="ledger re-scan period in seconds (default: from the "
-        "ledger's config record)",
-    )
-    args = parser.parse_args(argv)
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    return work_loop(
-        args.ledger, args.worker_id, poll_interval=args.poll_interval, stop=stop
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,38 +2,29 @@
 
 Every figure harness is a map over an embarrassingly parallel grid —
 (workload × cache size), (workload × line size), (workload × CMP) —
-whose points never share state.  This module fans such grids out over
-a :class:`~concurrent.futures.ProcessPoolExecutor` while keeping the
-one property the harness must not lose: **the output is byte-identical
-to a serial run**.  That holds because
-
-* ``ProcessPoolExecutor.map`` returns results in submission order, no
-  matter which worker finishes first, and
-* every task is a pure function of its (picklable) argument tuple, so
-  a point computes the same value in any process.
+whose points never share state.  :func:`parallel_map` is the name the
+harnesses call; it is a thin entry into the one map implementation,
+:func:`repro.harness.supervisor.supervised_map`, so a grid runs the
+same way whether or not anyone supervises it.  The output is
+byte-identical to a serial run because results are assembled in item
+order and every task is a pure function of its (picklable) argument
+tuple.
 
 ``repro-runall --jobs N`` threads the worker count down through every
 exhibit's ``main(jobs=...)``; ``jobs=None`` (the default everywhere)
-means serial, which keeps single-exhibit programmatic use and the test
-suite free of process-pool overhead, and ``--jobs 0`` asks for one
-worker per CPU.
+means serial, in-process, and ``--jobs 0`` asks for one worker per CPU.
 
-Failure handling: a worker exception is wrapped in
-:class:`~repro.errors.SweepPointError` carrying the offending grid
-point, so a 100-point sweep never fails anonymously.  When a
-:func:`~repro.harness.supervisor.supervise` context is active (as under
-``repro-runall``), the map is executed by the fault-tolerant
-supervisor instead — timeouts, retries, crash recovery, journaling —
-with identical ordering and, on a fault-free run, identical results.
+Outside a :func:`~repro.harness.supervisor.supervise` context the map
+runs under a fresh context with ``retries=0``: the first failing point
+raises :class:`~repro.errors.SweepPointError` (``attempts=1``) naming
+the item, with no backoff.  Inside one, the ambient context applies —
+timeouts, retries, journaling, fault injection, the sweep fabric.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, TypeVar
-
-from repro.errors import SweepPointError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -58,37 +49,19 @@ def parallel_map(
 ) -> list[R]:
     """Map ``task`` over ``items``, optionally across worker processes.
 
-    Results always come back in item order (the determinism contract);
-    with fewer than two effective workers, or fewer than two items, the
-    map runs inline with no pool.  ``task`` must be a module-level
-    function and every item picklable, because both cross a process
-    boundary when ``jobs`` asks for real parallelism.
-
-    A failing point raises :class:`SweepPointError` naming the item;
-    under an active supervisor context the supervised executor runs the
-    map instead (same ordering, same fault-free results).
+    Results always come back in item order.  ``task`` must be a
+    module-level function and every item picklable, because both cross
+    a process boundary when ``jobs`` asks for real parallelism.
     """
-    from repro.harness.supervisor import active_context, supervised_map
+    # Imported here: the supervisor imports resolve_jobs from this module.
+    from repro.harness.supervisor import (
+        SupervisorContext,
+        SupervisorPolicy,
+        active_context,
+        supervised_map,
+    )
 
-    work = list(items)
-    context = active_context()
-    if context is not None:
-        return supervised_map(task, work, jobs=jobs, context=context)
-    workers = min(resolve_jobs(jobs), len(work))
-    if workers <= 1:
-        results: list[R] = []
-        for item in work:
-            try:
-                results.append(task(item))
-            except Exception as error:
-                raise SweepPointError(item, error) from error
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, item) for item in work]
-        results = []
-        for item, future in zip(work, futures):
-            try:
-                results.append(future.result())
-            except Exception as error:
-                raise SweepPointError(item, error) from error
-        return results
+    context = active_context() or SupervisorContext(
+        policy=SupervisorPolicy(retries=0)
+    )
+    return supervised_map(task, list(items), jobs=jobs, context=context)

@@ -33,6 +33,7 @@ pickled per task.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -156,6 +157,16 @@ class ReplayLog:
             self.core_tags(),
             np.asarray(self.pcs),
         )
+
+    def content_digest(self) -> str:
+        """SHA-256 over every field: the log's content address."""
+        meta, arrays = self.to_payload()
+        digest = hashlib.sha256(repr(sorted(meta.items())).encode("utf-8"))
+        for name in _ARRAY_NAMES:
+            array = np.ascontiguousarray(arrays[name])
+            digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode("utf-8"))
+            digest.update(array.data)
+        return digest.hexdigest()
 
     # -- trace-cache serialization ------------------------------------
 
@@ -650,10 +661,20 @@ def load_or_capture(
 
 @dataclass(frozen=True)
 class _LogHandle:
-    """Picklable reference to a log: inline arrays or an on-disk entry."""
+    """Picklable reference to a log: inline arrays or an on-disk entry.
 
+    ``key`` is the log's content address.  A point key sees only that
+    (:meth:`content_identity`), never the transport: a spill directory
+    is random per run and a trace-cache path names its root, so keying
+    by either would make ``--resume`` re-run every point.
+    """
+
+    key: str
     log: ReplayLog | None = None
     entry_dir: str | None = None
+
+    def content_identity(self) -> "_LogHandle":
+        return _LogHandle(key=self.key)
 
     def resolve(self) -> ReplayLog:
         if self.log is not None:
@@ -708,6 +729,7 @@ def replay_map(
     spec: FaultSpec | None = None,
     lenient: bool = False,
     audit: str | None = None,
+    log_key: str | None = None,
 ) -> list[CoSimResult]:
     """Fan one captured log out to every configuration.
 
@@ -722,6 +744,9 @@ def replay_map(
     ``lenient`` ride along to every point (the injector re-seeds itself
     per grid point, so fan-out width never changes the fault stream);
     ``audit`` audits every point's result.
+
+    ``log_key`` is the log's content address, which journal, ledger and
+    checkpoint keys are built from; without one the arrays are hashed.
     """
     configs = list(configs)
     audit_mode = resolve_audit_mode(audit)
@@ -739,38 +764,27 @@ def replay_map(
                 replay(log, config, spec=spec, lenient=lenient, audit=audit_mode)
                 for config in configs
             ]
+        log_key = log_key or log.content_digest()
         spill_dir: str | None = None
         try:
             if entry_dir is None:
                 import tempfile
 
                 spill_dir = tempfile.mkdtemp(prefix="repro-log-spill-")
-                key = log_cache_key(
-                    log.workload,
-                    log.cores,
-                    log.quantum,
-                    log.boot_noise_accesses,
-                    extra={"transport": "spill", "accesses": log.accesses},
-                )
                 meta, arrays = log.to_payload()
-                entry = TraceCache(spill_dir).store(key, meta, arrays)
-                if entry is None:
-                    # Spill refused (disk full even for the temp cache):
-                    # fall back to pickling the log in-band.  Slower,
-                    # correct, and already recorded as a degradation by
-                    # the cache's ENOSPC handling.
-                    handle = _LogHandle(log=log)
-                    return parallel_map(
-                        _replay_task,
-                        [
-                            (handle, config, spec, lenient, audit_mode)
-                            for config in configs
-                        ],
-                        jobs=jobs,
-                    )
-                entry_dir = str(entry)
-                telemetry.counter("repro_replay_log_spills_total").inc()
-            handle = _LogHandle(entry_dir=entry_dir)
+                entry = TraceCache(spill_dir).store(log_key, meta, arrays)
+                if entry is not None:
+                    entry_dir = str(entry)
+                    telemetry.counter("repro_replay_log_spills_total").inc()
+            # A refused spill (disk full even for the temp cache) falls
+            # back to pickling the log in-band: slower, correct, and
+            # already recorded as a degradation by the cache's ENOSPC
+            # handling.
+            handle = (
+                _LogHandle(key=log_key, log=log)
+                if entry_dir is None
+                else _LogHandle(key=log_key, entry_dir=entry_dir)
+            )
             return parallel_map(
                 _replay_task,
                 [(handle, config, spec, lenient, audit_mode) for config in configs],
@@ -810,6 +824,14 @@ def replay_sweep(
         trace_cache=trace_cache,
         key_extra=key_extra,
     )
+    # The capture key names the log only when ``key_extra`` carries the
+    # generation parameters; without it two guests of one workload
+    # would share a key, so replay_map hashes the arrays instead.
+    log_key = (
+        log_cache_key(workload.name, cores, quantum, boot_noise_accesses, key_extra)
+        if key_extra is not None
+        else None
+    )
     return replay_map(
         log,
         configs,
@@ -818,6 +840,7 @@ def replay_sweep(
         spec=spec,
         lenient=lenient,
         audit=audit,
+        log_key=log_key,
     )
 
 

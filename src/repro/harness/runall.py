@@ -49,7 +49,13 @@ from repro.harness import (
     table1,
     table2,
 )
-from repro.harness.executors.base import EXECUTOR_NAMES
+from repro.harness.cli import (
+    add_execution_arguments,
+    build_budget,
+    build_fabric_config,
+    startup_gc,
+    telemetry_requested,
+)
 from repro.harness.supervisor import SupervisorPolicy, SweepJournal, supervise
 from repro.telemetry import profile as profiling
 from repro.telemetry import runtime as telemetry
@@ -71,45 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--csv", metavar="DIR", help="write every exhibit as CSV into DIR"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the sweep grids (default: serial; "
-        "0 means one per CPU); output is byte-identical to a serial run",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default="pool",
-        help="where sweep points execute: 'pool' (in-process worker "
-        "pool), 'shard' (work-stealing worker processes over a lease "
-        "ledger), or 'remote' (ledger workers via a command template); "
-        "ledger backends survive SIGKILLed workers (default: pool)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker count for the ledger executors (default: 2)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds a fabric worker's claim on a point stays "
-        "exclusive without a heartbeat (default: 30)",
-    )
-    parser.add_argument(
-        "--trace-cache",
-        metavar="DIR",
-        default=None,
-        help="reuse captured co-simulation traces across runs via the "
-        "content-addressed cache in DIR (default: $REPRO_TRACE_CACHE)",
     )
     parser.add_argument(
         "--sample",
@@ -142,31 +109,11 @@ def main(argv: list[str] | None = None) -> int:
         "e.g. 'seed=7,crash=0.2,hang=0.1,hang-seconds=2'",
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-point wall-clock budget for sweep workers "
-        "(needs --jobs > 1 to be enforceable)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-runs granted to a failing sweep point (default: 2)",
-    )
-    parser.add_argument(
         "--journal",
         metavar="FILE",
         default=None,
         help="checkpoint completed sweep points to FILE "
         "(default with --resume: .repro-runall.jsonl)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already checkpointed in the journal",
     )
     parser.add_argument(
         "--audit",
@@ -177,78 +124,18 @@ def main(argv: list[str] | None = None) -> int:
         "new parameters; default: $REPRO_AUDIT, else off)",
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="snapshot each sweep point's mid-run state under DIR so "
-        "killed or timed-out points resume where they stopped",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run-level wall-clock budget across all exhibits; expiry "
-        "drains the current sweep like Ctrl-C (journal keeps completed "
-        "points, --resume finishes byte-identically) and exits 124",
-    )
-    parser.add_argument(
-        "--disk-quota",
-        metavar="SIZE",
-        default=None,
-        help="bytes the trace cache (plus --checkpoint-dir) may occupy, "
-        "e.g. 512MB; over quota the least-recently-used cached traces "
-        "are evicted",
-    )
-    parser.add_argument(
-        "--mem-budget",
-        metavar="SIZE",
-        default=None,
-        help="process maxrss high-water mark, e.g. 2GB; once breached, "
-        "sweeps clamp to serial execution and the breach is recorded",
-    )
-    parser.add_argument(
         "--fail-on-degraded",
         action="store_true",
         help="exit nonzero if any exhibit or sweep point degraded "
         "instead of completing cleanly",
     )
-    parser.add_argument(
-        "--telemetry",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="EVENTS.jsonl",
-        help="enable the telemetry subsystem; with a path, also log "
-        "every metric and span to EVENTS.jsonl (off by default — "
-        "telemetry-off output is byte-identical)",
-    )
-    parser.add_argument(
-        "--metrics-file",
-        metavar="FILE",
-        default=None,
-        help="write the final registry state to FILE in Prometheus "
-        "text exposition format (implies --telemetry)",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="FILE",
-        help="print the end-of-run profile (per-exhibit wall time); "
-        "with a path, also write it as JSON (implies --telemetry)",
-    )
+    add_execution_arguments(parser)
     args = parser.parse_args(argv)
-    telemetry_on = (
-        bool(args.telemetry) or bool(args.metrics_file) or bool(args.profile)
-    )
+    telemetry_on = telemetry_requested(args)
     if telemetry_on:
         telemetry.configure(
             events_path=args.telemetry if isinstance(args.telemetry, str) else None
         )
-    from repro.harness.cli import build_budget
-
     try:
         with govern(build_budget(args)):
             return _run(args)
@@ -266,8 +153,6 @@ def _run(args: argparse.Namespace) -> int:
         args.trace_cache,
         disk_quota=parse_size(args.disk_quota) if args.disk_quota else None,
     )
-    from repro.harness.cli import startup_gc
-
     startup_gc(args, trace_cache)
     fault_spec = parse_fault_spec(args.inject)
     sample_spec = None
@@ -277,8 +162,6 @@ def _run(args: argparse.Namespace) -> int:
         sample_spec = parse_sample_spec(args.sample)
     journal_path = args.journal or (".repro-runall.jsonl" if args.resume else None)
     args.journal = journal_path
-    from repro.harness.cli import build_fabric_config
-
     fabric = build_fabric_config(args)
     # Fabric mode: the ledger at --journal is the journal (same v3
     # format); opening it twice would race the workers' appends.

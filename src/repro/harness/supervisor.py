@@ -1,14 +1,22 @@
 """Fault-tolerant supervised execution of sweep grids.
 
-``parallel_map`` fans a grid over a process pool and hopes: one worker
-exception, one hung point, or one ``BrokenProcessPool`` kills the whole
-sweep with nothing to show for hours of finished points.  The paper's
-platform could not afford that posture — a passive FPGA snooping a live
-bus *will* see faults — and neither can a long ``repro-runall``.  This
-module is the harness-level counterpart of the lenient address filter:
-it assumes points can fail and makes the sweep survive them.
+:func:`supervised_map` is the one way a sweep grid runs.
+:func:`~repro.harness.parallel.parallel_map` delegates to it, and the
+CLIs install an ambient :class:`SupervisorContext` with
+:func:`supervise`.  A bare process pool loses a whole sweep to one
+worker exception, one hung point, or one ``BrokenProcessPool``.  The
+paper's platform could not afford that posture — a passive FPGA
+snooping a live bus *will* see faults — and neither can a long
+``repro-runall``.  This module is the harness-level counterpart of the
+lenient address filter: it assumes points can fail and makes the sweep
+survive them.
 
-The supervisor wraps the same process-pool machinery with
+Points run in-process (``jobs`` ≤ 1), on the local worker pool
+(:class:`~repro.harness.executors.local.LocalPoolExecutor`), or, when
+the context carries a :class:`~repro.harness.executors.base.
+FabricConfig`, on the ledger-backed shard fabric
+(:func:`~repro.harness.executors.fabric.run_fabric`).  Around them the
+supervisor adds
 
 * **per-point wall-clock timeouts** — a hung worker is terminated, the
   pool respawned, and only the victim point re-queued;
@@ -25,14 +33,9 @@ The supervisor wraps the same process-pool machinery with
   :class:`~repro.errors.SweepInterrupted` so callers can exit cleanly.
 
 The determinism contract survives supervision: results are assembled in
-item order, every task is a pure function of its argument, and on a
-fault-free run the returned list is exactly what ``parallel_map``
-produces — byte-identical output for ``repro-runall --jobs N``.
-
-:func:`supervise` installs an ambient :class:`SupervisorContext`; while
-one is active, every ``parallel_map`` call in the process routes
-through :func:`supervised_map`, so exhibit harnesses gain supervision
-without threading new parameters through their signatures.
+item order and every task is a pure function of its argument, so a
+fault-free run returns the same list serially, pooled, or on the
+fabric — byte-identical output for ``repro-runall --jobs N``.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ from repro.governor.budget import active_governor
 from repro.governor.fsshim import fault_point
 from repro.governor.retry import retry_io
 from repro.harness.executors.base import FabricConfig, SubmittedPoint
-from repro.harness.executors.local import LocalPoolExecutor, terminate_pool
+from repro.harness.executors.local import LocalPoolExecutor
 from repro.harness.parallel import resolve_jobs
-from repro.serve.jobspec import CanonicalSet, canonicalize, point_content_key
+from repro.serve.jobspec import point_content_key
 from repro.telemetry import runtime as telemetry
 
 #: Journal schema version (header line of every journal file).  v2
@@ -76,13 +79,6 @@ from repro.telemetry import runtime as telemetry
 JOURNAL_FORMAT = 3
 
 _UNSET = object()
-
-# Canonicalization lives with the job-spec content-key helpers now
-# (:mod:`repro.serve.jobspec`), shared with the fabric ledger and the
-# server's dedup map so the three key spaces can never drift; the old
-# private names stay importable for callers that grew around them.
-_CanonicalSet = CanonicalSet
-_canonical = canonicalize
 
 
 @dataclass(frozen=True)
@@ -284,9 +280,9 @@ class SupervisorContext:
     #: forces a re-run — the retry continues mid-point instead of
     #: starting over, and the result stays bit-identical.
     checkpoint_dir: str | None = None
-    #: Ledger-backend fabric shape (``--executor shard``/``remote``).
-    #: None keeps the classic serial/pool routing; set, every
-    #: supervised map runs on the fabric driver instead
+    #: Shard-fabric shape (``--executor shard``).  None keeps the
+    #: serial/pool routing; set, every supervised map runs on the
+    #: fabric driver instead
     #: (:func:`repro.harness.executors.fabric.run_fabric`).
     fabric: FabricConfig | None = None
     #: Aggregated event counters across all supervised maps:
@@ -350,8 +346,8 @@ def supervise(
     """Install a supervisor context for the duration of a sweep.
 
     While active, every :func:`repro.harness.parallel.parallel_map` call
-    routes through :func:`supervised_map` with this context — the
-    exhibit harnesses need no new parameters to become fault-tolerant.
+    uses this context instead of a fresh retries=0 one — the exhibit
+    harnesses need no new parameters to become fault-tolerant.
     """
     global _ACTIVE
     if checkpoint_dir is not None:
@@ -417,12 +413,6 @@ class _Flight:
     submitted: float = 0.0
 
 
-# Historical name, kept because callers and tests grew around it; the
-# implementation (with its guarded ``_processes`` access and documented
-# plain-shutdown fallback) lives with the pool backend.
-_terminate = terminate_pool
-
-
 def supervised_map(
     task: Callable,
     items: list,
@@ -431,11 +421,11 @@ def supervised_map(
 ) -> list:
     """Map ``task`` over ``items`` under supervision; ordered results.
 
-    The fault-free fast path returns exactly what ``parallel_map``
-    would.  Under faults, points are retried with backoff, hung or
-    crashed workers cost a pool respawn plus re-runs of only the
-    affected points, completed points are journaled as they finish, and
-    SIGINT drains to a partial report plus :class:`SweepInterrupted`.
+    A fault-free run returns the same list on every route.  Under
+    faults, points are retried with backoff, hung or crashed workers
+    cost a pool respawn plus re-runs of only the affected points,
+    completed points are journaled as they finish, and SIGINT drains to
+    a partial report plus :class:`SweepInterrupted`.
     """
     context = context or active_context() or SupervisorContext()
     policy = context.policy
@@ -472,8 +462,8 @@ def supervised_map(
         return results
 
     if context.fabric is not None:
-        # Ledger-backend sweep: shard/remote workers own execution; the
-        # driver folds their records back into this ordered list.
+        # Fabric sweep: shard workers own execution; the driver folds
+        # their records back into this ordered list.
         from repro.harness.executors.fabric import run_fabric
 
         run_fabric(task, work, pending, keys, ckpt_paths, results, context)
@@ -506,15 +496,14 @@ def _point_fault(
     return fault
 
 
-def _note_resume(context: SupervisorContext, checkpoint_path: str | None) -> None:
-    """Count an attempt that will pick up from a mid-point snapshot.
+def _resumes(checkpoint_path: str | None) -> bool:
+    """Whether an attempt launched now picks up from a mid-point snapshot.
 
     A snapshot on disk at launch time means a previous attempt was cut
     down mid-run (timeout, crash, SIGKILL) after at least one
     checkpoint landed — the task resumes instead of starting over.
     """
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        context.count("point-resumed")
+    return checkpoint_path is not None and os.path.exists(checkpoint_path)
 
 
 def _finish(
@@ -620,7 +609,8 @@ def _run_serial(
         attempt = 0
         while True:
             fault = _point_fault(context, keys, i, attempt)
-            _note_resume(context, ckpt_paths[i])
+            if _resumes(ckpt_paths[i]):
+                context.count("point-resumed")
             try:
                 if fault == "crash":
                     raise FaultInjectionError("injected worker crash (serial mode)")
@@ -682,12 +672,11 @@ def _run_pool(
             index, ready_at = queue[0]
             if ready_at > now:
                 break
-            queue.popleft()
             fault = _point_fault(context, keys, index, attempts[index])
             hang_seconds = (
                 context.fault_spec.hang_seconds if context.fault_spec else 0.0
             )
-            _note_resume(context, ckpt_paths[index])
+            resumes = _resumes(ckpt_paths[index])
             handle = backend.submit(
                 SubmittedPoint(
                     index=index,
@@ -699,6 +688,11 @@ def _run_pool(
                     checkpoint_path=ckpt_paths[index],
                 )
             )
+            if handle is None:
+                break  # the pool broke; the next poll rebuilds it
+            queue.popleft()
+            if resumes:
+                context.count("point-resumed")
             deadline = now + policy.timeout if policy.timeout else None
             inflight[handle] = _Flight(
                 index=index, deadline=deadline, submitted=time.monotonic()

@@ -76,10 +76,15 @@ def canonicalize(value: Any) -> Any:
     their pickled keys (a total, content-stable order — ``repr`` ties
     or cross-type ``<`` comparisons are not), sets become sorted
     :class:`CanonicalSet` tuples, and lists/tuples/namedtuples recurse
-    elementwise.  Items without dicts or sets are returned structurally
-    identical, so their keys — and existing journals holding them —
-    are unchanged.
+    elementwise.  An object whose type defines ``content_identity()``
+    is replaced by what that returns, so it can carry transport details
+    (a spill path, a cache root) that must reach a worker but never a
+    key.  Other items are returned structurally identical, so their
+    keys — and existing journals holding them — are unchanged.
     """
+    content_identity = getattr(type(value), "content_identity", None)
+    if content_identity is not None:
+        return content_identity(value)
     if isinstance(value, dict):
         pairs = [(key, canonicalize(item)) for key, item in value.items()]
         pairs.sort(key=lambda pair: pickle.dumps(pair[0], protocol=4))
@@ -133,8 +138,17 @@ def pickle_digest(value: Any) -> str:
 
 
 def result_digest(results: Iterable[Any]) -> str:
-    """Digest of an ordered result list (the job-result identity)."""
-    return pickle_digest(list(results))
+    """Digest of an ordered result list (the job-result identity).
+
+    Results built in one process share objects through pickle's memo;
+    results that came back from workers, a journal or a ledger do not.
+    Round-tripping each result on its own first makes every route
+    digest the same bytes.  A single result needs no round trip.
+    """
+    results = list(results)
+    if len(results) > 1:
+        results = [pickle.loads(pickle.dumps(r, protocol=4)) for r in results]
+    return pickle_digest(results)
 
 
 def content_key(fields: Mapping[str, object]) -> str:

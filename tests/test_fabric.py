@@ -4,7 +4,7 @@ The ledger is the whole ballgame: if claims are exclusive, leases
 expire honestly, results are recorded exactly once, and torn writes
 can never fuse records, then the chaos results (``test_fabric_chaos``)
 follow.  These tests pin each of those properties in isolation, plus
-the config/template validation the CLIs rely on.
+the config validation the CLIs rely on.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
-from repro.harness.executors.base import (
-    DEFAULT_WORKER_COMMAND,
-    FabricConfig,
-    spawn_command,
-)
+from repro.harness.cli import build_fabric_config, build_parser
+from repro.harness.executors.base import FabricConfig
 from repro.harness.executors.ledger import (
     LEDGER_FORMAT,
     FabricLedger,
@@ -48,15 +45,24 @@ def one_failure_then_value(item):
     return value + 100
 
 
+def _cli_args(*argv: str):
+    return build_parser().parse_args(["--workload", "FIMI", *argv])
+
+
 class TestFabricConfig:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            FabricConfig(backend="carrier-pigeon")
+        # Backends are chosen by --executor; an unknown name, ``remote``
+        # included, is a usage error.
+        for name in ("carrier-pigeon", "remote"):
+            with pytest.raises(SystemExit) as excinfo:
+                _cli_args("--executor", name)
+            assert excinfo.value.code == 2
 
     def test_rejects_pool_as_fabric_backend(self):
         # ``pool`` is an executor, but not a *ledger* backend.
-        with pytest.raises(ConfigurationError):
-            FabricConfig(backend="pool")
+        assert build_fabric_config(_cli_args("--executor", "pool")) is None
+        config = build_fabric_config(_cli_args("--executor", "shard", "--shards", "3"))
+        assert config.shards == 3
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError, match="shards"):
@@ -69,24 +75,6 @@ class TestFabricConfig:
     def test_heartbeat_defaults_to_a_third_of_the_ttl(self):
         assert FabricConfig(lease_ttl=30.0).heartbeat_period == 10.0
         assert FabricConfig(lease_ttl=30.0, heartbeat_every=2.0).heartbeat_period == 2.0
-
-
-class TestSpawnCommand:
-    def test_expands_all_placeholders(self):
-        argv = spawn_command(
-            DEFAULT_WORKER_COMMAND, "/tmp/ledger.jsonl", "remote-1", "python3"
-        )
-        assert argv[0] == "python3"
-        assert "/tmp/ledger.jsonl" in argv
-        assert "remote-1" in argv
-
-    def test_unknown_placeholder_is_a_config_error(self):
-        with pytest.raises(ConfigurationError, match="placeholder"):
-            spawn_command("{python} --host {hostname}", "l", "w", "p")
-
-    def test_empty_template_is_a_config_error(self):
-        with pytest.raises(ConfigurationError, match="nothing"):
-            spawn_command("   ", "l", "w", "p")
 
 
 class TestLedgerFile:
@@ -114,6 +102,39 @@ class TestLedgerFile:
         # Re-manifesting (a resumed parent) appends nothing new.
         assert ledger.manifest(points) == 0
         assert ledger.manifest(points + [("k3", (double, 3), None)]) == 1
+
+    def test_remanifest_replaces_a_changed_payload(self, tmp_path):
+        # A resumed sweep may carry its log in a new temporary directory:
+        # workers must claim the new payload, not the first one.
+        ledger = FabricLedger(tmp_path / "ledger.jsonl")
+        ledger.manifest([("k1", (double, 1), None)])
+        assert ledger.manifest([("k1", (double, 2), None)]) == 1
+        claim = ledger.try_claim("w1", 30.0, 2, 3)
+        assert claim.load() == (double, 2)
+
+    def test_remanifest_restarts_an_interrupted_point(self, tmp_path):
+        ledger = FabricLedger(tmp_path / "ledger.jsonl")
+        points = [("k1", (double, 1), None), ("k2", (double, 2), None)]
+        ledger.manifest(points)
+        ledger.try_claim("w1", 30.0, 2, 3, now=1000.0)  # k1, then killed
+        claim = ledger.try_claim("w2", 30.0, 2, 3, now=1000.0)
+        for attempt in (1, 2, 3):  # k2 exhausts its retries
+            ledger.record_failed("k2", "w2", attempt, ValueError("x"), 0.0)
+        assert ledger.state.points["k2"].terminal(retries=2)
+        # The resumed parent re-manifests both; each starts afresh.
+        assert ledger.manifest(points) == 2
+        first = ledger.try_claim("w3", 30.0, 2, 3, now=1001.0)
+        second = ledger.try_claim("w3", 30.0, 2, 3, now=1001.0)
+        assert (first.key, first.attempt, first.steal) == ("k1", 1, False)
+        assert (second.key, second.attempt) == (claim.key, 1)
+
+    def test_remanifest_never_reopens_a_done_point(self, tmp_path):
+        ledger = FabricLedger(tmp_path / "ledger.jsonl")
+        ledger.manifest([("k1", (double, 1), None)])
+        ledger.try_claim("w1", 30.0, 2, 3)
+        ledger.record_done("k1", "w1", 2, 0.1, 1)
+        assert ledger.manifest([("k1", (double, 5), None)]) == 0
+        assert ledger.state.points["k1"].result() == 2
 
     def test_torn_tail_is_repaired_not_fused(self, tmp_path):
         """A record appended after a torn write must not fuse with it."""

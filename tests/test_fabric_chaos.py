@@ -6,9 +6,9 @@ SIGKILLed mid-point, and the ledger accounts for every point exactly
 once.  Poison points (points that kill every worker that executes
 them) are quarantined instead of eating the respawn budget.
 
-These tests drive real multi-process sweeps: forked shard workers,
-subprocess remote workers, and the ``scripts/chaos_sweep.py`` harness
-that CI's ``fabric-chaos-smoke`` job runs.
+These tests drive real multi-process sweeps: forked shard workers and
+the ``scripts/chaos_sweep.py`` harness that CI's
+``fabric-chaos-smoke`` job runs.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class TestFabricIdentity:
             tasks.model_mpki_point, GRID, context=SupervisorContext()
         )
         fabric = FabricConfig(
-            backend="shard",
             shards=3,
             lease_ttl=10.0,
             ledger_path=str(tmp_path / "ledger.jsonl"),
@@ -69,30 +68,12 @@ class TestFabricIdentity:
         assert context.counts["fabric-lease"] == len(GRID)
         assert "fabric-steal" not in context.counts
 
-    def test_remote_fabric_matches_serial(self, tmp_path):
-        grid = GRID[:4]
-        serial = supervised_map(
-            tasks.model_mpki_point, grid, context=SupervisorContext()
-        )
-        fabric = FabricConfig(
-            backend="remote",
-            shards=2,
-            lease_ttl=10.0,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-        )
-        with supervise(SupervisorPolicy(), fabric=fabric) as context:
-            out = supervised_map(tasks.model_mpki_point, grid)
-        assert identical(out, serial)
-        assert context.counts["fabric-lease"] == len(grid)
-
     def test_fabric_resume_skips_completed_points(self, tmp_path):
         ledger = str(tmp_path / "ledger.jsonl")
-        fabric = FabricConfig(backend="shard", shards=2, ledger_path=ledger)
+        fabric = FabricConfig(shards=2, ledger_path=ledger)
         with supervise(SupervisorPolicy(), fabric=fabric):
             first = supervised_map(tasks.model_mpki_point, GRID)
-        resumed = FabricConfig(
-            backend="shard", shards=2, ledger_path=ledger, resume=True
-        )
+        resumed = FabricConfig(shards=2, ledger_path=ledger, resume=True)
         with supervise(SupervisorPolicy(), fabric=resumed) as context:
             second = supervised_map(tasks.model_mpki_point, GRID)
         assert identical(first, second)
@@ -110,7 +91,6 @@ class TestChaos:
         ledger_path = tmp_path / "ledger.jsonl"
         monkey = chaos_sweep.ChaosMonkey(seed=42, kills=3)
         fabric = FabricConfig(
-            backend="shard",
             shards=2,
             lease_ttl=1.0,
             ledger_path=str(ledger_path),
@@ -149,7 +129,6 @@ class TestChaos:
             tasks.slow_mpki_point, grid, context=SupervisorContext()
         )
         fabric = FabricConfig(
-            backend="shard",
             shards=2,
             lease_ttl=1.0,
             ledger_path=str(tmp_path / "ledger.jsonl"),
@@ -164,7 +143,6 @@ class TestChaos:
 class TestQuarantine:
     def test_poison_point_is_quarantined_and_degrades(self, tmp_path):
         fabric = FabricConfig(
-            backend="shard",
             shards=2,
             lease_ttl=0.5,
             quarantine_after=2,
@@ -179,7 +157,6 @@ class TestQuarantine:
 
     def test_poison_point_raises_without_degradation(self, tmp_path):
         fabric = FabricConfig(
-            backend="shard",
             shards=2,
             lease_ttl=0.5,
             quarantine_after=2,
@@ -193,7 +170,6 @@ class TestQuarantine:
 class TestFailurePaths:
     def test_exhausted_point_raises_sweep_point_error(self, tmp_path):
         fabric = FabricConfig(
-            backend="shard",
             shards=2,
             lease_ttl=10.0,
             ledger_path=str(tmp_path / "ledger.jsonl"),
@@ -205,7 +181,6 @@ class TestFailurePaths:
 
     def test_exhausted_point_degrades_when_lenient(self, tmp_path):
         fabric = FabricConfig(
-            backend="shard",
             shards=2,
             lease_ttl=10.0,
             ledger_path=str(tmp_path / "ledger.jsonl"),

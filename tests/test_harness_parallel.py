@@ -12,9 +12,18 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stdout
 
+import pytest
+
+from repro.errors import SweepPointError
 from repro.harness import fig4, fig7, projection, runall, table2
 from repro.harness.figures import _mpki_point
 from repro.harness.parallel import default_jobs, parallel_map, resolve_jobs
+
+
+def _fails_on_odd(item: int) -> int:
+    if item % 2:
+        raise ValueError(f"odd point {item}")
+    return item
 
 
 class TestParallelMap:
@@ -32,6 +41,13 @@ class TestParallelMap:
 
     def test_empty_items(self):
         assert parallel_map(_mpki_point, [], jobs=4) == []
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_unsupervised_failure_raises_on_first_attempt(self, jobs):
+        with pytest.raises(SweepPointError) as info:
+            parallel_map(_fails_on_odd, [2, 3, 4], jobs=jobs)
+        assert info.value.point == 3
+        assert info.value.attempts == 1
 
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1

@@ -355,9 +355,9 @@ class TestTerminateFallback:
         assert pool_processes(HostileProcesses()) == []
 
     def test_terminate_falls_back_to_plain_shutdown(self):
-        """With no enumerable workers, _terminate still shuts the pool
-        down instead of crashing — the documented fallback."""
-        from repro.harness.supervisor import _terminate
+        """With no enumerable workers, terminate_pool still shuts the
+        pool down instead of crashing — the documented fallback."""
+        from repro.harness.executors.local import terminate_pool
 
         calls = []
 
@@ -365,8 +365,56 @@ class TestTerminateFallback:
             def shutdown(self, wait, cancel_futures):
                 calls.append((wait, cancel_futures))
 
-        _terminate(ShutdownOnly())
+        terminate_pool(ShutdownOnly())
         assert calls == [(False, True)]
+
+
+class TestBrokenPoolSubmit:
+    """A worker that dies between two polls breaks the pool before the
+    loop hears of it; the next submit must not take the sweep down."""
+
+    def test_point_refused_by_a_broken_pool_waits_for_the_poll(self):
+        from concurrent.futures import wait
+
+        from repro.harness.executors.base import SubmittedPoint
+        from repro.harness.executors.local import LocalPoolExecutor
+
+        backend = LocalPoolExecutor(2)
+        try:
+            crashed = backend.submit(
+                SubmittedPoint(index=0, task=square, item=2, fault="crash")
+            )
+            wait([crashed])  # the pool is broken; nobody has polled yet
+            point = SubmittedPoint(index=1, task=square, item=3)
+            assert backend.submit(point) is None
+            assert [e.kind for e in backend.poll(10.0)] == ["crash", "respawn"]
+            handle = backend.submit(point)
+            [event] = backend.poll(10.0)
+            assert (event.kind, event.handle, event.value) == ("done", handle, 9)
+        finally:
+            backend.cancel()
+
+    def test_pool_broken_while_idle_is_rebuilt_on_submit(self):
+        from repro.harness.executors.base import SubmittedPoint
+        from repro.harness.executors.local import LocalPoolExecutor, pool_processes
+
+        backend = LocalPoolExecutor(1)
+        try:
+            backend.submit(SubmittedPoint(index=0, task=square, item=2))
+            assert [e.kind for e in backend.poll(10.0)] == ["done"]
+            broken_pool = backend._pool
+            for process in pool_processes(broken_pool):
+                process.kill()
+            deadline = time.monotonic() + 10.0
+            while not broken_pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert broken_pool._broken
+            handle = backend.submit(SubmittedPoint(index=1, task=square, item=3))
+            assert backend._pool is not broken_pool
+            [event] = backend.poll(10.0)
+            assert (event.kind, event.handle, event.value) == ("done", handle, 9)
+        finally:
+            backend.cancel()
 
 
 class TestReapHung:
