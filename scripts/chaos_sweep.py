@@ -51,10 +51,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.faults.spec import FaultSpec  # noqa: E402
 from repro.harness.executors import tasks  # noqa: E402
 from repro.harness.executors.base import FabricConfig  # noqa: E402
+from repro.harness.executors.ledger import FabricLedger  # noqa: E402
 from repro.harness.supervisor import (  # noqa: E402
     SupervisorContext,
     SupervisorPolicy,
-    SweepJournal,
+    point_key,
     supervise,
     supervised_map,
 )
@@ -142,7 +143,7 @@ def audit_ledger(ledger_path: Path, expected_keys: list[str]) -> list[str]:
 def run_chaos(args: argparse.Namespace) -> int:
     task = TASKS[args.task]
     grid = build_grid(args.points)
-    keys = [SweepJournal.point_key(task, item) for item in grid]
+    keys = [point_key(task, item) for item in grid]
 
     print(f"chaos sweep: {len(grid)} points, task={args.task}, "
           f"shards={args.shards}, kills={args.kills}, seed={args.seed}, "
@@ -157,14 +158,14 @@ def run_chaos(args: argparse.Namespace) -> int:
         fabric = FabricConfig(
             shards=args.shards,
             lease_ttl=args.lease_ttl,
-            ledger_path=str(ledger_path),
             observer=monkey,
             # Each kill can cost a full lease TTL before the steal; give
             # the fleet room for the monkey's whole quota and then some.
             max_respawns=max(16, 4 * args.kills),
         )
         print("chaos run ...")
-        with supervise(SupervisorPolicy(), fabric=fabric) as context:
+        journal = FabricLedger(ledger_path)
+        with supervise(SupervisorPolicy(), journal=journal, fabric=fabric) as context:
             chaotic = supervised_map(task, grid)
         print(f"  events: {context.describe()}")
 
@@ -208,10 +209,10 @@ def run_quarantine_smoke(args: argparse.Namespace) -> int:
             shards=args.shards,
             lease_ttl=min(args.lease_ttl, 0.5),
             quarantine_after=2,
-            ledger_path=str(ledger_path),
         )
         policy = SupervisorPolicy(failure_value=float("nan"))
-        with supervise(policy, fabric=fabric) as context:
+        journal = FabricLedger(ledger_path)
+        with supervise(policy, journal=journal, fabric=fabric) as context:
             results = supervised_map(tasks.poison_point, grid)
         print(f"  events: {context.describe()}")
 

@@ -52,11 +52,11 @@ from repro.governor import fsshim  # noqa: E402
 from repro.governor import gc as governor_gc  # noqa: E402
 from repro.governor.budget import ResourceBudget, govern  # noqa: E402
 from repro.harness.executors import tasks  # noqa: E402
+from repro.harness.executors.ledger import FabricLedger  # noqa: E402
 from repro.harness.replay import replay_sweep  # noqa: E402
 from repro.harness.supervisor import (  # noqa: E402
     SupervisorContext,
     SupervisorPolicy,
-    SweepJournal,
     supervise,
     supervised_map,
 )
@@ -207,14 +207,12 @@ def run_deadline_smoke(args: argparse.Namespace) -> int:
         journal_path = Path(tmp) / "journal.jsonl"
         expired: DeadlineExpired | None = None
         with govern(ResourceBudget(deadline_s=args.deadline)):
-            journal = SweepJournal(journal_path)
+            journal = FabricLedger(journal_path)
             try:
                 with supervise(SupervisorPolicy(), journal=journal):
                     supervised_map(task, grid)
             except DeadlineExpired as error:
                 expired = error
-            finally:
-                journal.close()
 
         failures = []
         if expired is None:
@@ -230,12 +228,9 @@ def run_deadline_smoke(args: argparse.Namespace) -> int:
         else:
             print(f"  drained at {expired.completed}/{expired.total} points")
             print("resume run ...")
-            journal = SweepJournal(journal_path, resume=True)
-            try:
-                with supervise(SupervisorPolicy(), journal=journal) as context:
-                    resumed = supervised_map(task, grid)
-            finally:
-                journal.close()
+            journal = FabricLedger(journal_path, resume=True)
+            with supervise(SupervisorPolicy(), journal=journal) as context:
+                resumed = supervised_map(task, grid)
             skips = context.counts.get("journal-skip", 0)
             if skips != expired.completed:
                 failures.append(

@@ -44,7 +44,6 @@ KNOWN_SITES = frozenset(
     {
         "trace-cache.store",
         "trace-cache.load",
-        "journal.append",
         "ledger.append",
         "telemetry.emit",
         "telemetry.prometheus",

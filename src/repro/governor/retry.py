@@ -66,7 +66,7 @@ def retry_io(
 ) -> T:
     """Run ``fn``, retrying transient OSErrors with bounded backoff.
 
-    ``operation`` labels the retry counter (e.g. ``"journal.append"``)
+    ``operation`` labels the retry counter (e.g. ``"ledger.append"``)
     so the metrics say *which* surface was flaky.  Non-transient
     OSErrors and non-OSErrors propagate immediately; a transient error
     that survives every retry propagates with its original traceback.

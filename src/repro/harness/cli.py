@@ -39,7 +39,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import AbstractContextManager
 from fractions import Fraction
+from typing import Callable
 
 from repro.audit import AUDIT_MODES, AUDIT_OFF, resolve_audit_mode
 from repro.core.phases import phase_summary
@@ -47,7 +49,6 @@ from repro.errors import (
     AuditError,
     DeadlineExpired,
     JobSpecError,
-    SamplingError,
     SweepInterrupted,
     SweepPointError,
 )
@@ -60,22 +61,25 @@ from repro.exit_codes import (
     EXIT_SWEEP,
 )
 from repro.faults.report import merge_records
-from repro.faults.spec import parse_fault_spec
+from repro.faults.spec import FaultSpec, parse_fault_spec
 from repro.governor.budget import ResourceBudget, active_governor, govern
-from repro.harness.replay import load_or_capture, log_cache_key, replay_sweep
+# Loaded with the CLI rather than by the first JobSpec.run, which runs
+# inside the ``run`` span: the profile's phases must cover that span,
+# and the engine's import is not a phase.
+from repro.harness import replay  # noqa: F401
 from repro.harness.report import (
     render_audit_report,
     render_degradation_report,
     render_series_table,
 )
-from repro.simpoint import parse_sample_spec, sampled_sweep
 from repro.harness.executors.base import EXECUTOR_NAMES, FabricConfig
-from repro.harness.supervisor import SupervisorPolicy, SweepJournal, supervise
+from repro.harness.executors.ledger import FabricLedger
+from repro.harness.supervisor import SupervisorContext, SupervisorPolicy, supervise
 from repro.serve.jobspec import JobSpec, result_digest
 from repro.telemetry import profile as profiling
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.sinks import write_prometheus
-from repro.trace.cache import resolve_trace_cache
+from repro.trace.cache import TraceCache, resolve_trace_cache
 from repro.units import format_size, parse_size
 from repro.workloads.profiles import WORKLOAD_NAMES
 from repro.workloads.registry import get_workload
@@ -201,51 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
         "(injected faults, recovered anomalies, or lenient-mode audit "
         "violations)",
     )
-    add_execution_arguments(parser)
+    add_sweep_arguments(parser)
     return parser
 
 
-def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """The execution flags ``repro-cosim`` and ``repro-runall`` share.
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags all three CLIs take, defined once.
 
-    How a sweep runs — workers, executor, supervision, resource budget,
-    telemetry — means the same in both CLIs, so it is defined once.
-    Flags whose meaning differs per CLI (``--journal``, ``--lenient``,
-    ``--inject``, ``--sample``, ``--audit``, ``--fail-on-degraded``)
-    stay with each parser.
+    Workers, per-point supervision, the resource budget, the trace
+    cache and telemetry mean the same in ``repro-cosim``,
+    ``repro-runall`` and ``repro-serve``.
     """
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the sweep grids (default: serial; "
-        "0 means one per CPU); output is byte-identical to a serial run",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default="pool",
-        help="where sweep points execute: 'pool' (in-process, or a "
-        "local worker pool with --jobs > 1) or 'shard' (independent "
-        "work-stealing worker processes coordinating through a lease "
-        "ledger; survives SIGKILLed workers) (default: pool)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker count for --executor shard (default: 2)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds a shard worker's claim on a point stays "
-        "exclusive without a heartbeat; after expiry any worker may "
-        "steal the point (default: 30)",
+        help="worker processes per sweep or replay pass (default: "
+        "serial; 0 means one per CPU); results are byte-identical to a "
+        "serial run",
     )
     parser.add_argument(
         "--trace-cache",
@@ -259,8 +237,8 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-point wall-clock budget for sweep workers "
-        "(needs --jobs > 1 to be enforceable)",
+        help="per-point wall-clock budget for sweep and replay-pass "
+        "workers (needs --jobs > 1 to be enforceable)",
     )
     parser.add_argument(
         "--retries",
@@ -270,42 +248,28 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="re-runs granted to a failing sweep point (default: 2)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already recorded in the --journal file",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="snapshot each sweep point's mid-run state under DIR so a "
-        "killed or timed-out point resumes where it stopped "
-        "(bit-identical to an uninterrupted run)",
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run-level wall-clock budget; expiry drains the sweep like "
-        "Ctrl-C (partial report, journal keeps completed points, "
-        "--resume finishes byte-identically) and exits 124",
+        help="run-level wall-clock budget; expiry drains the run like "
+        "Ctrl-C and exits 124",
     )
     parser.add_argument(
         "--disk-quota",
         metavar="SIZE",
         default=None,
-        help="bytes the trace cache (plus --checkpoint-dir) may occupy, "
-        "e.g. 512MB; over quota the least-recently-used cached traces "
-        "are evicted (they regenerate on demand)",
+        help="bytes the trace cache (plus any checkpoint directory) may "
+        "occupy, e.g. 512MB; over quota the least-recently-used cached "
+        "traces are evicted (they regenerate on demand)",
     )
     parser.add_argument(
         "--mem-budget",
         metavar="SIZE",
         default=None,
         help="process maxrss high-water mark, e.g. 2GB; once breached, "
-        "sweeps clamp to serial execution and the breach is recorded "
-        "as degradation",
+        "supervised maps clamp to serial execution and the breach is "
+        "recorded as degradation",
     )
     parser.add_argument(
         "--telemetry",
@@ -337,6 +301,58 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The run flags plus those only the two sweep CLIs take.
+
+    Where sweep points execute, and how a sweep resumes, mean the same
+    in ``repro-cosim`` and ``repro-runall``.  Flags whose meaning
+    differs per CLI (``--journal``, ``--lenient``, ``--inject``,
+    ``--sample``, ``--audit``, ``--fail-on-degraded``) stay with each
+    parser.
+    """
+    add_run_arguments(parser)
+    parser.add_argument(
+        "--executor",
+        choices=list(EXECUTOR_NAMES),
+        default="pool",
+        help="where sweep points execute: 'pool' (in-process, or a "
+        "local worker pool with --jobs > 1) or 'shard' (independent "
+        "work-stealing worker processes coordinating through a lease "
+        "ledger; survives SIGKILLed workers) (default: pool)",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=2,
+        metavar="N",
+        help="worker count for --executor shard (default: 2)",
+    )
+    parser.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="seconds a shard worker's claim on a point stays "
+        "exclusive without a heartbeat; after expiry any worker may "
+        "steal the point (default: 30)",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip points already recorded in the --journal file; a "
+        "sweep drained by Ctrl-C or --deadline keeps its completed "
+        "points there, and --resume finishes it byte-identically",
+    )
+    parser.add_argument(
+        "--checkpoint-dir",
+        metavar="DIR",
+        default=None,
+        help="snapshot each sweep point's mid-run state under DIR so a "
+        "killed or timed-out point resumes where it stopped "
+        "(bit-identical to an uninterrupted run)",
+    )
+
+
 def telemetry_requested(args: argparse.Namespace) -> bool:
     """Whether any of the three telemetry flags turns the subsystem on."""
     return bool(args.telemetry) or bool(args.metrics_file) or bool(args.profile)
@@ -351,56 +367,130 @@ def build_budget(args: argparse.Namespace) -> ResourceBudget | None:
     return ResourceBudget(disk_quota=disk, mem_budget=mem, deadline_s=args.deadline)
 
 
-def startup_gc(args: argparse.Namespace, trace_cache) -> None:
-    """Run-start housekeeping on the resolved trace cache.
+def open_trace_cache(args: argparse.Namespace) -> TraceCache | None:
+    """The run's trace cache (``--trace-cache``, ``--disk-quota``).
 
-    Collects aged crash debris (quarantined ``.corrupt`` entries,
-    orphaned staging directories, stale checkpoints — threshold
-    ``$REPRO_GC_AGE_S``, default a week) and, when a quota is set,
-    evicts down to it before the run adds new entries.
+    Opening it does the run-start housekeeping: aged crash debris
+    (quarantined ``.corrupt`` entries, orphaned staging directories,
+    stale checkpoints — threshold ``$REPRO_GC_AGE_S``, default a week)
+    is collected and, when a quota is set, the cache is evicted down to
+    it before the run adds new entries.
     """
+    trace_cache = resolve_trace_cache(
+        args.trace_cache,
+        disk_quota=parse_size(args.disk_quota) if args.disk_quota else None,
+    )
     if trace_cache is None:
-        return
+        return None
     from repro.governor import gc as governor_gc
 
-    governor_gc.collect_garbage(trace_cache, checkpoint_dir=args.checkpoint_dir)
+    # The daemon has no checkpoint directory.
+    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    governor_gc.collect_garbage(trace_cache, checkpoint_dir=checkpoint_dir)
     if trace_cache.disk_quota is not None:
         governor_gc.enforce_quota(
-            trace_cache,
-            trace_cache.disk_quota,
-            checkpoint_dir=args.checkpoint_dir,
+            trace_cache, trace_cache.disk_quota, checkpoint_dir=checkpoint_dir
         )
+    return trace_cache
 
 
 def build_fabric_config(args: argparse.Namespace) -> FabricConfig | None:
-    """The sweep-fabric shape from CLI flags; None in ``pool`` mode.
-
-    Shared by ``repro-cosim`` and ``repro-runall``: in ``shard`` mode
-    both reuse ``--journal`` as the shared ledger path.
-    """
+    """The sweep-fabric shape from CLI flags; None in ``pool`` mode."""
     if args.executor == "pool":
         return None
-    return FabricConfig(
-        shards=args.shards,
-        lease_ttl=args.lease_ttl,
-        ledger_path=args.journal,
-        resume=args.resume,
+    return FabricConfig(shards=args.shards, lease_ttl=args.lease_ttl)
+
+
+def sweep_session(
+    args: argparse.Namespace, fault_spec: FaultSpec | None = None
+) -> AbstractContextManager[SupervisorContext]:
+    """The supervised sweep ``repro-cosim`` and ``repro-runall`` run in.
+
+    One journal, whichever executor runs: the ledger at ``--journal``,
+    resumed under ``--resume``.  The pool records completed points in
+    it and the shard fabric's workers coordinate through it.
+    """
+    journal = FabricLedger(args.journal, resume=args.resume) if args.journal else None
+    return supervise(
+        SupervisorPolicy(timeout=args.timeout, retries=args.retries),
+        journal=journal,
+        fault_spec=fault_spec,
+        checkpoint_dir=args.checkpoint_dir,
+        fabric=build_fabric_config(args),
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one co-simulation (or a cache-size sweep) and print its readout."""
-    args = build_parser().parse_args(argv)
-    if telemetry_requested(args):
+def run_cli(
+    body: Callable[[argparse.Namespace], int], args: argparse.Namespace
+) -> int:
+    """Run one CLI invocation inside the lifecycle all three CLIs share.
+
+    Telemetry is configured around the resource governor, ``body``
+    does the work, and a sweep that stops early leaves with its
+    documented exit code, reported on stderr: a deadline drain 124, an
+    interrupt 130, a strict-mode audit violation 3 (bare, or as the
+    cause of a failed point), and any other point out of retries 5.
+    """
+    telemetry_on = telemetry_requested(args)
+    if telemetry_on:
         telemetry.configure(
             events_path=args.telemetry if isinstance(args.telemetry, str) else None
         )
     try:
         with govern(build_budget(args)):
-            return _main(args)
+            return body(args)
+    except DeadlineExpired as expired:
+        # Before SweepInterrupted (its parent class): the drain is
+        # identical but the exit code follows timeout(1).
+        print(f"deadline: {expired}", file=sys.stderr)
+        return EXIT_DEADLINE
+    except SweepInterrupted as interrupted:
+        print(f"interrupted: {interrupted}", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except AuditError as error:
+        # A violated invariant is a wrong answer, not a statistic.
+        print(f"audit failed: {error}", file=sys.stderr)
+        print(error.report.describe(), file=sys.stderr)
+        return EXIT_AUDIT
+    except SweepPointError as error:
+        if isinstance(error.cause, AuditError):
+            # Deterministic, so the retries could not save it.
+            print(
+                f"audit failed on point {error.point!r}: {error.cause}",
+                file=sys.stderr,
+            )
+            print(error.cause.report.describe(), file=sys.stderr)
+            return EXIT_AUDIT
+        print(f"sweep point failed: {error}", file=sys.stderr)
+        return EXIT_SWEEP
     finally:
-        if telemetry_requested(args):
+        if telemetry_on:
             telemetry.shutdown()
+
+
+def _emit_telemetry(args: argparse.Namespace, results) -> None:
+    """Write the metrics file and the profile, after the root span closed.
+
+    Ordered after the ``run`` span closes so the profile's phase-coverage
+    check sees the final root wall time; everything here is gated on the
+    subsystem being enabled, preserving telemetry-off byte-identity.
+    """
+    if not telemetry.enabled():
+        return
+    registry = telemetry.registry()
+    if args.profile:
+        profile = profiling.build_profile(results, telemetry.tracker(), registry)
+        print()
+        print(profiling.render_profile(profile))
+        if isinstance(args.profile, str):
+            profiling.write_profile(profile, args.profile)
+    if args.metrics_file:
+        write_prometheus(registry, args.metrics_file)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one co-simulation (or a cache-size sweep) and print its readout."""
+    return run_cli(_main, build_parser().parse_args(argv))
 
 
 def _resolve_spec(args: argparse.Namespace) -> JobSpec:
@@ -458,18 +548,12 @@ def _main(args: argparse.Namespace) -> int:
         return EXIT_OK
     workload = get_workload(spec.workload)
     configs = spec.configs()
-    guest = spec.build_guest()
-    key_extra = spec.capture_key_extra()
-    trace_cache = resolve_trace_cache(
-        args.trace_cache,
-        disk_quota=parse_size(args.disk_quota) if args.disk_quota else None,
-    )
-    startup_gc(args, trace_cache)
+    trace_cache = open_trace_cache(args)
     fault_spec = parse_fault_spec(args.inject)
     if args.resume and not args.journal:
         build_parser().error("--resume requires --journal FILE")
     if args.sample is not None:
-        return _main_sampled(args, workload, guest, configs, key_extra, trace_cache)
+        return _main_sampled(args, spec, workload, configs, trace_cache)
 
     if fault_spec is not None and fault_spec.corrupt_trace and trace_cache is not None:
         from repro.faults.injector import inject_trace_corruption
@@ -483,65 +567,9 @@ def _main(args: argparse.Namespace) -> int:
             print(f"injected trace corruption into {damaged} cache entry file(s)")
 
     audit_mode = resolve_audit_mode(args.audit)
-    policy = SupervisorPolicy(timeout=args.timeout, retries=args.retries)
-    fabric = build_fabric_config(args)
-    # In fabric mode the ledger *is* the journal (same v3 format, same
-    # --journal path, resumable either way) — opening it twice would
-    # race the workers' appends.
-    journal = (
-        SweepJournal(args.journal, resume=args.resume)
-        if args.journal and fabric is None
-        else None
-    )
     with telemetry.span("run"):
-        try:
-            with supervise(
-                policy,
-                journal=journal,
-                fault_spec=fault_spec,
-                checkpoint_dir=args.checkpoint_dir,
-                fabric=fabric,
-            ) as ctx:
-                results = replay_sweep(
-                    guest,
-                    args.cores,
-                    configs,
-                    quantum=args.quantum,
-                    jobs=args.jobs,
-                    trace_cache=trace_cache,
-                    key_extra=key_extra,
-                    spec=fault_spec,
-                    lenient=args.lenient,
-                    audit=audit_mode,
-                )
-        except DeadlineExpired as expired:
-            # Checked before SweepInterrupted (its parent class): the
-            # drain is identical but the exit code follows timeout(1).
-            print(f"deadline: {expired}")
-            return EXIT_DEADLINE
-        except SweepInterrupted as interrupted:
-            print(f"interrupted: {interrupted}")
-            return EXIT_INTERRUPTED
-        except AuditError as error:
-            # Strict mode: a violated invariant is a wrong answer, not a
-            # statistic — print what broke and fail loudly.
-            print(f"audit failed: {error}")
-            print(error.report.describe())
-            return EXIT_AUDIT
-        except SweepPointError as error:
-            # The supervisor wraps worker errors; an audit failure is
-            # deterministic, so retries cannot save it — unwrap and report.
-            if isinstance(error.cause, AuditError):
-                print(f"audit failed on point {error.point!r}: {error.cause}")
-                print(error.cause.report.describe())
-                return EXIT_AUDIT
-            # Retries exhausted: a failing *point* is a documented exit
-            # of its own, distinct from a crash in the harness itself.
-            print(f"sweep point failed: {error}")
-            return EXIT_SWEEP
-        finally:
-            if journal is not None:
-                journal.close()
+        with sweep_session(args, fault_spec) as ctx:
+            results = spec.run(trace_cache=trace_cache, jobs=args.jobs)
         exit_code = _report(args, workload, configs, results, trace_cache, audit_mode, fault_spec, ctx)
         if args.digest:
             print(f"result digest: {result_digest(results)}")
@@ -563,33 +591,15 @@ _SAMPLE_CONFLICTS = (
 )
 
 
-def _main_sampled(args, workload, guest, configs, key_extra, trace_cache) -> int:
+def _main_sampled(args, spec, workload, configs, trace_cache) -> int:
     """The ``--sample`` path: capture (or load) once, sample the sweep."""
     for flag, attribute in _SAMPLE_CONFLICTS:
         if getattr(args, attribute):
             build_parser().error(f"--sample cannot be combined with {flag}")
     if args.executor != "pool":
         build_parser().error("--sample cannot be combined with --executor")
-    try:
-        spec = parse_sample_spec(args.sample)
-    except SamplingError as error:
-        build_parser().error(str(error))
     with telemetry.span("run"):
-        log, _ = load_or_capture(
-            guest,
-            args.cores,
-            quantum=args.quantum,
-            trace_cache=trace_cache,
-            key_extra=key_extra,
-        )
-        log_key = (
-            log_cache_key(guest.name, args.cores, args.quantum, 8192, key_extra)
-            if trace_cache is not None
-            else None
-        )
-        results = sampled_sweep(
-            log, configs, spec, trace_cache=trace_cache, log_key=log_key
-        )
+        results = spec.run(trace_cache=trace_cache, jobs=args.jobs)
         exit_code = _report_sampled(args, workload, configs, results, trace_cache)
         if args.digest:
             print(f"result digest: {result_digest(results)}")
@@ -706,26 +716,6 @@ def _report(
             print("failing: degradation records present (--fail-on-degraded)")
             return EXIT_DEGRADED
         return EXIT_OK
-
-
-def _emit_telemetry(args, results) -> None:
-    """Write the metrics file and the profile, after the root span closed.
-
-    Ordered after the ``run`` span closes so the profile's phase-coverage
-    check sees the final root wall time; everything here is gated on the
-    subsystem being enabled, preserving telemetry-off byte-identity.
-    """
-    if not telemetry.enabled():
-        return
-    registry = telemetry.registry()
-    if args.profile:
-        profile = profiling.build_profile(results, telemetry.tracker(), registry)
-        print()
-        print(profiling.render_profile(profile))
-        if isinstance(args.profile, str):
-            profiling.write_profile(profile, args.profile)
-    if args.metrics_file:
-        write_prometheus(registry, args.metrics_file)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ ShardExecutor`; each caller knows its backend's class.  Both take a
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -26,11 +25,11 @@ class SubmittedPoint:
     """One grid point, prepared for execution on any backend.
 
     ``key`` is the point's content key (task identity + canonicalized
-    pickled item — see :meth:`~repro.harness.supervisor.SweepJournal.
-    point_key`); it is what makes re-execution idempotent across
-    workers and runs.  ``fault``/``hang_seconds`` carry a planned
-    harness fault for this attempt, ``checkpoint_path`` a mid-point
-    snapshot location for tasks that advertise ``supports_checkpoint``.
+    pickled item — see :func:`~repro.harness.supervisor.point_key`); it
+    is what makes re-execution idempotent across workers and runs.
+    ``fault``/``hang_seconds`` carry a planned harness fault for this
+    attempt, ``checkpoint_path`` a mid-point snapshot location for
+    tasks that advertise ``supports_checkpoint``.
     """
 
     index: int
@@ -85,6 +84,9 @@ class PointEvent:
 class FabricConfig:
     """How the ledger-backed shard fabric is shaped.
 
+    The ledger file is the sweep's journal when one is open; otherwise
+    the driver places a temporary one per map.
+
     Attributes:
         shards: target number of live workers; the driver respawns
             toward this count when workers die.
@@ -95,9 +97,6 @@ class FabricConfig:
         quarantine_after: a point whose lease expired under this many
             *distinct* workers is quarantined as poison instead of
             being stolen again.
-        ledger_path: the shared ledger file (``--journal`` in the
-            CLIs); None lets the driver place one in a temp directory.
-        resume: load prior ``done`` records instead of truncating.
         grace: drain grace period before SIGKILL.
         max_respawns: hard ceiling on worker respawns per map, so a
             fleet that dies instantly (a broken environment) fails
@@ -111,8 +110,6 @@ class FabricConfig:
     heartbeat_every: float | None = None
     poll_interval: float = 0.05
     quarantine_after: int = 3
-    ledger_path: str | os.PathLike | None = None
-    resume: bool = False
     grace: float = 5.0
     max_respawns: int = 64
     observer: Callable[[Any, int], None] | None = None

@@ -19,7 +19,6 @@ which is the distributed analog of the pool's reap-and-respawn.
 
 from __future__ import annotations
 
-import dataclasses
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -64,48 +63,20 @@ def run_fabric(
 
     config: FabricConfig = context.fabric
     policy = context.policy
+    # The workers share the sweep's journal; without one, this map gets
+    # a temporary ledger of its own.
     tempdir: tempfile.TemporaryDirectory | None = None
-    if config.ledger_path is not None:
-        ledger_path = str(config.ledger_path)
+    if context.journal is not None:
+        ledger_path = str(context.journal.path)
     else:
         tempdir = tempfile.TemporaryDirectory(prefix="repro-fabric-")
         ledger_path = str(Path(tempdir.name) / "ledger.jsonl")
 
-    # One supervised sweep may run several maps (repro-runall runs one
-    # per exhibit) against one ledger: only the first map honours the
-    # user's resume flag — every later map must resume, or opening the
-    # ledger would truncate the earlier maps' records mid-run.
-    if getattr(context, "_fabric_ledger_used", False):
-        config = dataclasses.replace(config, resume=True)
-    context._fabric_ledger_used = True
-
     backend = ShardExecutor(config, ledger_path)
     try:
-        # A resumed ledger already holds ``done`` records; fold them in
-        # before manifesting, exactly as the journal pre-skip does.
-        backend.ledger.scan()
-        still_pending: list[int] = []
-        for i in pending:
-            ps = backend.ledger.state.points.get(keys[i])
-            if ps is not None and ps.done is not None:
-                _finish(
-                    context,
-                    keys,
-                    results,
-                    i,
-                    ps.result(),
-                    wall_time_s=None,
-                    attempts=ps.done.get("attempts", 1),
-                )
-                context.count("journal-skip")
-            else:
-                still_pending.append(i)
-        if not still_pending:
-            return
-
         backend.ledger.write_config(_policy_config(context, config))
         index_by_key: dict[str, int] = {}
-        for i in still_pending:
+        for i in pending:
             index_by_key[keys[i]] = i
             backend.submit(
                 SubmittedPoint(

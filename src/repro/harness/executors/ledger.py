@@ -1,11 +1,11 @@
-"""The lease-based work-stealing ledger: the v3 journal, distributed.
+"""The sweep journal: one lease-based work-stealing ledger file.
 
-One append-only JSONL file coordinates every worker of a fabric sweep.
-It *is* a v3 sweep journal — the header line and the ``done`` records
-are exactly what :class:`~repro.harness.supervisor.SweepJournal`
-writes, so ``--resume`` can read a fabric ledger and a fabric run can
-resume from a plain journal — extended with lease records that only
-the fabric reads:
+Every supervised sweep journals through :class:`FabricLedger`, on
+either executor: ``--journal`` names the file and ``--resume`` skips
+every point it holds a ``done`` record for, so a sweep stopped on the
+pool resumes on the shard fabric and vice versa.  On the pool only the
+parent appends, and only ``done`` records; on the shard fabric every
+worker appends to the same file, and these records coordinate them:
 
 ====================  ==================================================
 record                meaning
@@ -20,8 +20,8 @@ record                meaning
                       ``expires``; ``steal`` marks a reclaimed expired
                       lease
 ``heartbeat``         lease renewal while the point runs
-``done``              the point's result (journal-compatible entry plus
-                      the executing worker and the result bytes' SHA)
+``done``              the point's result (the pickled value, its SHA,
+                      cost metadata and, on the fabric, the worker)
 ``verified``          a racing re-execution compared byte-identical to
                       the recorded result and was discarded
 ``conflict``          a re-execution *differed* — determinism is broken
@@ -77,7 +77,11 @@ try:  # POSIX only; the fabric backends refuse to start without it.
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-#: Same schema as the sweep journal — a ledger *is* a v3 journal.
+#: Journal schema version, on the header line and on every record that
+#: names a point.  v2 stamped every record with ``schema`` so a line
+#: pasted out of context still identifies its format; v3 added the
+#: ``wall_time_s`` and ``attempts`` cost fields.  Resuming any other
+#: version is a hard error, never a silent reinterpretation of old bytes.
 LEDGER_FORMAT = 3
 
 #: Pickle protocol for payloads and results; pinned so byte-identity
@@ -227,8 +231,8 @@ class LedgerState:
                 ps.quarantined = row
             ps.lease_worker = None
         elif kind == "done" or ("result" in row and kind is None):
-            # ``kind is None`` accepts plain v3 journal entries, so a
-            # fabric sweep can resume from a pool-backend journal.
+            # ``kind is None`` accepts untyped results, the form older
+            # pool journals hold.
             if ps.done is None:
                 ps.done = row
             if ps.lease_worker == row.get("worker"):
@@ -252,12 +256,12 @@ class Claim:
 
 
 class FabricLedger:
-    """One process's handle on the shared ledger file.
+    """One process's handle on the journal file.
 
-    Every worker and the driver hold their own instance; nothing is
-    shared in memory.  Reads are incremental (the instance remembers
-    its file offset); writes go through :meth:`append` under the
-    sidecar lock.
+    The supervisor's journal, the fabric driver and every shard worker
+    hold their own instance; nothing is shared in memory.  Reads are
+    incremental (the instance remembers its file offset); every write
+    happens under the sidecar lock.
     """
 
     def __init__(
@@ -268,30 +272,24 @@ class FabricLedger:
     ) -> None:
         if fcntl is None:  # pragma: no cover - non-POSIX platform
             raise ConfigurationError(
-                "the fabric ledger needs fcntl file locking, which this "
-                "platform does not provide; use --executor pool"
+                "the sweep journal needs fcntl file locking, which this "
+                "platform does not provide; run without --journal"
             )
         self.path = Path(path)
         self._offset = 0
-        self._partial = b""
         self.state = LedgerState()
         if create:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self._locked():
-                if not resume:
-                    self.path.write_text(
-                        json.dumps({"format": LEDGER_FORMAT}) + "\n",
-                        encoding="utf-8",
-                    )
-                elif not self.path.exists() or self.path.stat().st_size == 0:
-                    self.path.write_text(
-                        json.dumps({"format": LEDGER_FORMAT}) + "\n",
-                        encoding="utf-8",
-                    )
-                else:
+                if resume and self.path.exists() and self.path.stat().st_size:
                     self._check_header()
+                else:
+                    self.path.write_text(
+                        json.dumps({"format": LEDGER_FORMAT}) + "\n",
+                        encoding="utf-8",
+                    )
         elif not self.path.exists():
-            raise ConfigurationError(f"fabric ledger {self.path} does not exist")
+            raise ConfigurationError(f"journal {self.path} does not exist")
         else:
             self._check_header()
 
@@ -318,8 +316,8 @@ class FabricLedger:
             version = None
         if version != LEDGER_FORMAT:
             raise ConfigurationError(
-                f"ledger {self.path} carries schema {version!r}; this build "
-                f"reads {LEDGER_FORMAT} — delete it or start a fresh sweep"
+                f"journal {self.path} carries schema {version!r}; this build "
+                f"reads {LEDGER_FORMAT} — delete it or rerun without --resume"
             )
 
     def _append_locked(self, rows: list[dict]) -> None:
@@ -387,11 +385,60 @@ class FabricLedger:
                 continue
             if not isinstance(row, dict) or row.get("format") is not None:
                 continue  # the header (or junk)
+            if "key" in row and row.get("schema") != LEDGER_FORMAT:
+                raise ConfigurationError(
+                    f"journal {self.path} entry carries schema "
+                    f"{row.get('schema')!r}; this build reads {LEDGER_FORMAT}"
+                    " — delete it or rerun without --resume"
+                )
             self.state._apply(row)
             rows.append(row)
         return rows
 
+    def completed(self) -> dict[str, PointState]:
+        """Every point with a ``done`` record, after reading new lines."""
+        self.scan()
+        return {key: ps for key, ps in self.state.points.items() if ps.done}
+
     # -- parent-side operations ---------------------------------------
+
+    def record(
+        self,
+        key: str,
+        value: Any,
+        wall_time_s: float | None = None,
+        attempts: int = 1,
+    ) -> None:
+        """Journal one finished point, unless it already has a result.
+
+        On the shard fabric the worker that ran the point recorded it,
+        so the supervisor's call for the same key writes nothing.  The
+        check runs inside the lock, and the whole transaction rides out
+        transient I/O errors like :meth:`append`.
+        """
+        from repro.governor.fsshim import fault_point
+        from repro.governor.retry import retry_io
+
+        encoded, sha = _encode(value)
+        row = {
+            "schema": LEDGER_FORMAT,
+            "type": "done",
+            "key": key,
+            "result": encoded,
+            "sha": sha,
+            "wall_time_s": wall_time_s,
+            "attempts": attempts,
+        }
+
+        def _write() -> None:
+            fault_point("ledger.append")
+            with self._locked():
+                self.scan()
+                ps = self.state.points.get(key)
+                if ps is None or ps.done is None:
+                    self._append_locked([row])
+
+        retry_io("ledger.append", _write)
 
     def write_config(self, config: dict) -> None:
         """Record sweep policy for the workers (last config wins)."""

@@ -56,7 +56,10 @@ class ShardExecutor:
     def __init__(self, config: FabricConfig, ledger_path: str) -> None:
         self.config = config
         self.ledger_path = ledger_path
-        self.ledger = FabricLedger(ledger_path, resume=config.resume)
+        self.ledger = FabricLedger(ledger_path, resume=True)
+        # Fold in what earlier runs and maps recorded, so that polls
+        # report only this map's records.
+        self.ledger.scan()
         self.workers: dict[str, multiprocessing.Process] = {}
         self.respawns = 0
         self._spawned = 0
@@ -110,7 +113,7 @@ class ShardExecutor:
                 handle=key,
                 worker=worker,
             )
-        if kind == "done" or (kind is None and "result" in row and key):
+        if kind == "done":
             return PointEvent(
                 kind="done",
                 handle=key,

@@ -24,19 +24,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
-import sys
 
 from repro.audit import AUDIT_ENV, AUDIT_MODES
-from repro.errors import DeadlineExpired, SweepInterrupted, SweepPointError
-from repro.exit_codes import (
-    EXIT_DEADLINE,
-    EXIT_DEGRADED,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    EXIT_SWEEP,
-)
+from repro.errors import SweepPointError
+from repro.exit_codes import EXIT_DEGRADED, EXIT_OK
 from repro.faults.spec import parse_fault_spec
-from repro.governor.budget import active_governor, govern
+from repro.governor.budget import active_governor
 from repro.harness import (
     ablations,
     bandwidth_study,
@@ -50,23 +43,20 @@ from repro.harness import (
     table2,
 )
 from repro.harness.cli import (
-    add_execution_arguments,
-    build_budget,
-    build_fabric_config,
-    startup_gc,
-    telemetry_requested,
+    _emit_telemetry,
+    add_sweep_arguments,
+    open_trace_cache,
+    run_cli,
+    sweep_session,
 )
-from repro.harness.supervisor import SupervisorPolicy, SweepJournal, supervise
-from repro.telemetry import profile as profiling
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.sinks import write_prometheus
 
 PAPER_EXHIBITS = (table1, table2, fig4, fig5, fig6, fig7, fig8)
 EXTENDED_EXHIBITS = (projection, ablations, bandwidth_study)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Regenerate every exhibit (optionally extended studies + CSV)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The repro-runall argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-runall", description="Regenerate the paper's evaluation."
     )
@@ -129,48 +119,25 @@ def main(argv: list[str] | None = None) -> int:
         help="exit nonzero if any exhibit or sweep point degraded "
         "instead of completing cleanly",
     )
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    telemetry_on = telemetry_requested(args)
-    if telemetry_on:
-        telemetry.configure(
-            events_path=args.telemetry if isinstance(args.telemetry, str) else None
-        )
-    try:
-        with govern(build_budget(args)):
-            return _run(args)
-    finally:
-        if telemetry_on:
-            telemetry.shutdown()
+    add_sweep_arguments(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Regenerate every exhibit (optionally extended studies + CSV)."""
+    return run_cli(_run, build_parser().parse_args(argv))
 
 
 def _run(args: argparse.Namespace) -> int:
     """The evaluation itself, with telemetry configured (or disabled)."""
-    from repro.trace.cache import resolve_trace_cache
-    from repro.units import parse_size
-
-    trace_cache = resolve_trace_cache(
-        args.trace_cache,
-        disk_quota=parse_size(args.disk_quota) if args.disk_quota else None,
-    )
-    startup_gc(args, trace_cache)
+    trace_cache = open_trace_cache(args)
     fault_spec = parse_fault_spec(args.inject)
     sample_spec = None
     if args.sample is not None:
         from repro.simpoint import parse_sample_spec
 
         sample_spec = parse_sample_spec(args.sample)
-    journal_path = args.journal or (".repro-runall.jsonl" if args.resume else None)
-    args.journal = journal_path
-    fabric = build_fabric_config(args)
-    # Fabric mode: the ledger at --journal is the journal (same v3
-    # format); opening it twice would race the workers' appends.
-    journal = (
-        SweepJournal(journal_path, resume=args.resume)
-        if journal_path and fabric is None
-        else None
-    )
-    policy = SupervisorPolicy(timeout=args.timeout, retries=args.retries)
+    args.journal = args.journal or (".repro-runall.jsonl" if args.resume else None)
     exhibits = PAPER_EXHIBITS + (EXTENDED_EXHIBITS if args.extended else ())
     degraded: list[str] = []
     if args.audit is not None:
@@ -178,54 +145,31 @@ def _run(args: argparse.Namespace) -> int:
         # knob reaches every replay()/run() call, worker processes
         # included, without touching their signatures.
         os.environ[AUDIT_ENV] = args.audit
-    try:
-        with telemetry.span("run"), supervise(
-            policy,
-            journal=journal,
-            fault_spec=fault_spec,
-            checkpoint_dir=args.checkpoint_dir,
-            fabric=fabric,
-        ) as context:
-            for exhibit in exhibits:
-                name = exhibit.__name__.rsplit(".", 1)[-1]
-                kwargs: dict[str, object] = {"jobs": args.jobs}
-                # Exact-path exhibits accept the trace cache; the
-                # closed-form model exhibits have nothing to cache and
-                # don't take the knob.
-                parameters = inspect.signature(exhibit.main).parameters
-                if "trace_cache" in parameters:
-                    kwargs["trace_cache"] = trace_cache
-                # Sampled simulation only reaches the exhibits that
-                # co-simulate; the closed-form model exhibits have no
-                # stream to sample and don't take the knob.
-                if sample_spec is not None and "sample" in parameters:
-                    kwargs["sample"] = sample_spec
-                try:
-                    with telemetry.span(name):
-                        exhibit.main(**kwargs)
-                except SweepPointError as error:
-                    if not args.lenient:
-                        raise
-                    degraded.append(name)
-                    print(f"[degraded] exhibit {name} skipped: {error}")
-                print()
-    except DeadlineExpired as expired:
-        # Before SweepInterrupted (its parent class): identical drain,
-        # timeout(1)'s exit code.
-        print(f"deadline: {expired}", file=sys.stderr)
-        return EXIT_DEADLINE
-    except SweepInterrupted as interrupted:
-        print(f"interrupted: {interrupted}", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except SweepPointError as error:
-        # Strict mode: a point out of retries fails the run with its
-        # own documented exit, distinct from argument errors (2) and
-        # harness crashes (1).
-        print(f"sweep point failed: {error}", file=sys.stderr)
-        return EXIT_SWEEP
-    finally:
-        if journal is not None:
-            journal.close()
+    with telemetry.span("run"), sweep_session(args, fault_spec) as context:
+        for exhibit in exhibits:
+            name = exhibit.__name__.rsplit(".", 1)[-1]
+            kwargs: dict[str, object] = {"jobs": args.jobs}
+            # Exact-path exhibits accept the trace cache; the
+            # closed-form model exhibits have nothing to cache and
+            # don't take the knob.
+            parameters = inspect.signature(exhibit.main).parameters
+            if "trace_cache" in parameters:
+                kwargs["trace_cache"] = trace_cache
+            # Sampled simulation only reaches the exhibits that
+            # co-simulate; the closed-form model exhibits have no
+            # stream to sample and don't take the knob.
+            if sample_spec is not None and "sample" in parameters:
+                kwargs["sample"] = sample_spec
+            try:
+                with telemetry.span(name):
+                    exhibit.main(**kwargs)
+            except SweepPointError as error:
+                # Strict mode fails the run with the point's exit code.
+                if not args.lenient:
+                    raise
+                degraded.append(name)
+                print(f"[degraded] exhibit {name} skipped: {error}")
+            print()
     if context.counts:
         print(f"supervisor events: {context.describe()}")
     governor = active_governor()
@@ -238,7 +182,9 @@ def _run(args: argparse.Namespace) -> int:
 
         for path in export_all(args.csv):
             print(f"wrote {path}")
-    _emit_telemetry(args)
+    # The exhibits print their own tables, so the profile has no result
+    # list to reconcile: its value here is the per-exhibit breakdown.
+    _emit_telemetry(args, [])
     if args.fail_on_degraded and (
         degraded
         or context.counts.get("point-degraded")
@@ -247,27 +193,6 @@ def _run(args: argparse.Namespace) -> int:
         print("failing: degraded exhibits or points present (--fail-on-degraded)")
         return EXIT_DEGRADED
     return EXIT_OK
-
-
-def _emit_telemetry(args: argparse.Namespace) -> None:
-    """Profile + metrics file, after the root span has closed.
-
-    ``repro-runall``'s exhibits print their own tables rather than
-    returning result objects, so the profile's result list is empty:
-    its value here is the per-exhibit wall-time breakdown and the
-    registry dump, not result reconciliation.
-    """
-    if not telemetry.enabled():
-        return
-    registry = telemetry.registry()
-    if args.profile:
-        profile = profiling.build_profile([], telemetry.tracker(), registry)
-        print()
-        print(profiling.render_profile(profile))
-        if isinstance(args.profile, str):
-            profiling.write_profile(profile, args.profile)
-    if args.metrics_file:
-        write_prometheus(registry, args.metrics_file)
 
 
 if __name__ == "__main__":

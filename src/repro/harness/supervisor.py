@@ -25,9 +25,11 @@ supervisor adds
   ``retries`` times before the point is declared dead;
 * **``BrokenProcessPool`` recovery** — a worker dying mid-sweep costs
   one pool respawn and re-runs only the points that were in flight;
-* **a journaled checkpoint file** — every completed point is appended
-  to a JSONL journal keyed by content (task identity + pickled item),
-  so ``--resume`` skips finished work after a crash or a Ctrl-C;
+* **a journal** — every completed point is recorded in the sweep's
+  ledger file (:class:`~repro.harness.executors.ledger.FabricLedger`)
+  under its content key (task identity + pickled item), so
+  ``--resume`` skips finished work after a crash or a Ctrl-C, on
+  either executor;
 * **SIGINT-safe drain** — an interrupt terminates workers, flushes the
   journal, prints a partial-results report, and raises
   :class:`~repro.errors.SweepInterrupted` so callers can exit cleanly.
@@ -40,10 +42,7 @@ fabric — byte-identical output for ``repro-runall --jobs N``.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-import pickle
 import sys
 import time
 from collections import deque
@@ -53,7 +52,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.errors import (
-    ConfigurationError,
     DeadlineExpired,
     FaultInjectionError,
     SweepInterrupted,
@@ -61,22 +59,12 @@ from repro.errors import (
 )
 from repro.faults.spec import FaultSpec
 from repro.governor.budget import active_governor
-from repro.governor.fsshim import fault_point
-from repro.governor.retry import retry_io
 from repro.harness.executors.base import FabricConfig, SubmittedPoint
+from repro.harness.executors.ledger import FabricLedger
 from repro.harness.executors.local import LocalPoolExecutor
 from repro.harness.parallel import resolve_jobs
 from repro.serve.jobspec import point_content_key
 from repro.telemetry import runtime as telemetry
-
-#: Journal schema version (header line of every journal file).  v2
-#: stamped every *entry* with a ``schema`` field as well, so a single
-#: line pasted out of context still identifies its format; v3 adds
-#: per-entry ``wall_time_s`` and ``attempts`` so a resumed or post-hoc
-#: analysis can see what each point cost without re-running it.
-#: Resuming a journal with a missing or unknown version is a hard
-#: error, never a silent reinterpretation of old bytes.
-JOURNAL_FORMAT = 3
 
 _UNSET = object()
 
@@ -111,159 +99,15 @@ class SupervisorPolicy:
         return self.failure_value is not _UNSET
 
 
-class SweepJournal:
-    """Append-only JSONL checkpoint of completed grid points.
+def point_key(task: Callable, item: Any) -> str:
+    """Content key of one grid point: task identity + pickled item.
 
-    Each line records one point: a content key (task identity plus the
-    pickled item, hashed) and the pickled result, base85-encoded so the
-    file stays line-oriented and greppable.  Appending is crash-safe in
-    the way that matters: a torn final line is detected on load and
-    ignored, costing one recomputed point.
+    The item is canonicalized first: pickled dicts carry their
+    insertion order, so ``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}``
+    — the same grid point — would otherwise hash to different keys
+    and ``--resume`` would re-run completed work.
     """
-
-    def __init__(self, path: str | os.PathLike, resume: bool = False) -> None:
-        self.path = Path(path)
-        self.entries: dict[str, Any] = {}
-        #: Per-key cost metadata (``wall_time_s``, ``attempts``) for
-        #: entries loaded on resume — kept out of ``entries`` so result
-        #: payloads stay exactly what the task returned.
-        self.meta: dict[str, dict] = {}
-        if resume and self.path.exists():
-            self._load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        mode = "a" if resume else "w"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if not resume or self._handle.tell() == 0:
-            self._write_line({"format": JOURNAL_FORMAT})
-
-    def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            header_seen = False
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                if not header_seen:
-                    header_seen = True
-                    self._check_header(line)
-                    continue
-                try:
-                    row = json.loads(line)
-                    if "key" in row:
-                        if row.get("schema") != JOURNAL_FORMAT:
-                            raise ConfigurationError(
-                                f"journal {self.path} entry carries schema "
-                                f"{row.get('schema')!r}; this build reads "
-                                f"{JOURNAL_FORMAT} — delete the journal or "
-                                "rerun without --resume"
-                            )
-                        self.entries[row["key"]] = pickle.loads(
-                            base64.b85decode(row["result"])
-                        )
-                        self.meta[row["key"]] = {
-                            "wall_time_s": row.get("wall_time_s"),
-                            "attempts": row.get("attempts", 1),
-                        }
-                except (ValueError, KeyError, pickle.UnpicklingError, EOFError):
-                    continue  # torn tail line from a crash: skip it
-
-    def _check_header(self, line: str) -> None:
-        """Refuse to resume from a journal of a different schema."""
-        try:
-            header = json.loads(line)
-            version = header.get("format") if isinstance(header, dict) else None
-        except ValueError:
-            version = None
-        if version is None:
-            raise ConfigurationError(
-                f"journal {self.path} has no schema version header — it "
-                "predates versioned journals or is not a sweep journal; "
-                "delete it or rerun without --resume"
-            )
-        if version != JOURNAL_FORMAT:
-            raise ConfigurationError(
-                f"journal {self.path} was written with schema {version}; "
-                f"this build reads {JOURNAL_FORMAT} — delete the journal "
-                "or rerun without --resume"
-            )
-
-    def _write_line(self, row: dict) -> None:
-        """Append one record durably: flushed *and* fsynced.
-
-        A point only counts as journaled once the bytes are on the
-        platter — a machine losing power after a buffered write would
-        otherwise re-run "completed" points on resume, or worse, leave
-        a torn record that silently swallows its neighbour.  The fsync
-        costs microseconds per point against sweep points that cost
-        seconds; durability is the whole reason the journal exists.
-
-        Transient write errors (EIO on a flaky volume, EAGAIN) are
-        retried with backoff; a retried append can at worst leave one
-        torn line followed by the complete record, which the loader's
-        torn-line tolerance already absorbs.
-        """
-        line = json.dumps(row, sort_keys=True) + "\n"
-
-        def _write() -> None:
-            fault_point("journal.append")
-            self._handle.write(line)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-        retry_io("journal.append", _write)
-
-    @staticmethod
-    def point_key(task: Callable, item: Any) -> str:
-        """Content key of one grid point: task identity + pickled item.
-
-        The item is canonicalized first: pickled dicts carry their
-        insertion order, so ``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}``
-        — the same grid point — would otherwise hash to different keys
-        and ``--resume`` would re-run completed work.
-        """
-        return point_content_key(f"{task.__module__}.{task.__qualname__}", item)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
-    def get(self, key: str) -> Any:
-        return self.entries[key]
-
-    def record(
-        self,
-        key: str,
-        result: Any,
-        wall_time_s: float | None = None,
-        attempts: int = 1,
-    ) -> None:
-        """Checkpoint one completed point (idempotent per key).
-
-        ``wall_time_s`` and ``attempts`` record what the point cost
-        (v3 fields); they are metadata only and never affect what a
-        resume returns for the key.
-        """
-        self.entries[key] = result
-        self.meta[key] = {"wall_time_s": wall_time_s, "attempts": attempts}
-        encoded = base64.b85encode(pickle.dumps(result, protocol=4)).decode("ascii")
-        self._write_line(
-            {
-                "schema": JOURNAL_FORMAT,
-                "key": key,
-                "result": encoded,
-                "wall_time_s": wall_time_s,
-                "attempts": attempts,
-            }
-        )
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    return point_content_key(f"{task.__module__}.{task.__qualname__}", item)
 
 
 @dataclass
@@ -271,7 +115,9 @@ class SupervisorContext:
     """Ambient supervision state shared by every map under one sweep."""
 
     policy: SupervisorPolicy = field(default_factory=SupervisorPolicy)
-    journal: SweepJournal | None = None
+    #: The sweep's journal: completed points are skipped on resume and
+    #: recorded as they finish, on the pool and on the shard fabric.
+    journal: FabricLedger | None = None
     fault_spec: FaultSpec | None = None
     #: Directory for per-point mid-run snapshots.  Tasks that advertise
     #: ``supports_checkpoint = True`` receive a per-point path under it
@@ -338,7 +184,7 @@ def active_context() -> SupervisorContext | None:
 @contextmanager
 def supervise(
     policy: SupervisorPolicy | None = None,
-    journal: SweepJournal | None = None,
+    journal: FabricLedger | None = None,
     fault_spec: FaultSpec | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
     fabric: FabricConfig | None = None,
@@ -443,17 +289,18 @@ def supervised_map(
         or context.fabric is not None
         or checkpointing
     )
-    keys = [SweepJournal.point_key(task, item) for item in work] if need_keys else None
+    keys = [point_key(task, item) for item in work] if need_keys else None
     ckpt_paths: list[str | None] = [None] * n
     if checkpointing:
         ckpt_paths = [
             os.path.join(context.checkpoint_dir, key + ".ckpt") for key in keys
         ]
 
+    completed = context.journal.completed() if context.journal is not None else {}
     pending: list[int] = []
     for i in range(n):
-        if context.journal is not None and keys[i] in context.journal:
-            results[i] = context.journal.get(keys[i])
+        if completed and keys[i] in completed:
+            results[i] = completed[keys[i]].result()
             context.count("journal-skip")
             context.completed += 1
         else:

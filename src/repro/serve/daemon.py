@@ -25,15 +25,17 @@ import threading
 import time
 
 from repro.exit_codes import EXIT_DEADLINE, EXIT_INTERRUPTED, EXIT_OK
-from repro.governor.budget import active_governor, govern
-from repro.harness.cli import build_budget, startup_gc, telemetry_requested
+from repro.governor.budget import active_governor
+from repro.harness.cli import (
+    _emit_telemetry,
+    add_run_arguments,
+    open_trace_cache,
+    run_cli,
+)
 from repro.harness.supervisor import SupervisorPolicy
 from repro.serve.server import JobServer
 from repro.telemetry import profile as profiling
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.sinks import write_prometheus
-from repro.trace.cache import resolve_trace_cache
-from repro.units import parse_size
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,20 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "harnesses discover a --port 0 daemon",
     )
     parser.add_argument(
-        "--trace-cache",
-        metavar="DIR",
-        default=None,
-        help="content-addressed trace cache shared with the CLIs "
-        "(default: $REPRO_TRACE_CACHE; 'off' disables)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per replay pass (0 = one per CPU)",
-    )
-    parser.add_argument(
         "--max-queue",
         type=int,
         default=256,
@@ -94,67 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         "traffic harness's A/B baseline)",
     )
     parser.set_defaults(batching=True)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-point wall-clock budget inside a replay pass",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-runs granted to a failing sweep point (default: 2)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run-level wall-clock budget; expiry drains and exits 124",
-    )
-    parser.add_argument(
-        "--disk-quota",
-        metavar="SIZE",
-        default=None,
-        help="trace-cache disk budget, e.g. 512MB (LRU eviction)",
-    )
-    parser.add_argument(
-        "--mem-budget",
-        metavar="SIZE",
-        default=None,
-        help="process maxrss high-water mark, e.g. 2GB",
-    )
-    parser.add_argument(
-        "--telemetry",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="EVENTS.jsonl",
-        help="enable the telemetry subsystem (gauges, counters, spans, "
-        "the /v1/metrics endpoint); with a path, also log every event",
-    )
-    parser.add_argument(
-        "--metrics-file",
-        metavar="FILE",
-        default=None,
-        help="write the final registry to FILE in Prometheus format at "
-        "drain (implies --telemetry)",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="FILE",
-        help="print the end-of-run profile at drain, reconciling the "
-        "serve counters with the span tree (implies --telemetry)",
-    )
-    # build_budget/startup_gc are shared with the other CLIs and read
-    # this attribute; the daemon has no checkpoint directory.
-    parser.set_defaults(checkpoint_dir=None)
+    add_run_arguments(parser)
     return parser
 
 
@@ -181,27 +109,12 @@ def _summary_line(server: JobServer) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if telemetry_requested(args):
-        telemetry.configure(
-            events_path=args.telemetry if isinstance(args.telemetry, str) else None
-        )
-    try:
-        with govern(build_budget(args)):
-            return _main(args)
-    finally:
-        if telemetry_requested(args):
-            telemetry.shutdown()
+    return run_cli(_main, build_parser().parse_args(argv))
 
 
 def _main(args: argparse.Namespace) -> int:
-    trace_cache = resolve_trace_cache(
-        args.trace_cache,
-        disk_quota=parse_size(args.disk_quota) if args.disk_quota else None,
-    )
-    startup_gc(args, trace_cache)
     server = JobServer(
-        trace_cache=trace_cache,
+        trace_cache=open_trace_cache(args),
         jobs=args.jobs,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
@@ -250,29 +163,13 @@ def _main(args: argparse.Namespace) -> int:
         if interrupted.is_set():
             exit_code = EXIT_INTERRUPTED
         server.shutdown()
-    _emit_telemetry(args, server)
+    if telemetry.enabled():
+        # Workers do not share this registry: publish the served
+        # results' aggregates parent-side (the CLI's contract) so the
+        # profile reconciles real sums, not empty ones.
+        profiling.publish_results(telemetry.registry(), server.completed_results)
+    _emit_telemetry(args, server.completed_results)
     return exit_code
-
-
-def _emit_telemetry(args: argparse.Namespace, server: JobServer) -> None:
-    """The end-of-run profile/metrics, after the root span closed."""
-    if not telemetry.enabled():
-        return
-    registry = telemetry.registry()
-    # Workers do not share this registry: publish the served results'
-    # aggregates parent-side (the CLI's contract) so the profile's
-    # reconciliation compares real sums, not empty ones.
-    profiling.publish_results(registry, server.completed_results)
-    if args.profile:
-        profile = profiling.build_profile(
-            server.completed_results, telemetry.tracker(), registry
-        )
-        print()
-        print(profiling.render_profile(profile))
-        if isinstance(args.profile, str):
-            profiling.write_profile(profile, args.profile)
-    if args.metrics_file:
-        write_prometheus(registry, args.metrics_file)
 
 
 if __name__ == "__main__":

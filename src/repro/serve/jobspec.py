@@ -23,10 +23,10 @@ Three content keys, one derivation chain:
   replay; the batch planner groups by it.
 
 This module also owns the canonicalization helpers the sweep journal
-and fabric ledger key their records with (:func:`canonicalize`,
-:func:`point_content_key`, :func:`pickle_digest`).  They used to live
-in the supervisor; hoisted here so server dedup, journal resume keys,
-and ledger byte-identity checks can never drift apart.
+keys its records with (:func:`canonicalize`, :func:`point_content_key`,
+:func:`pickle_digest`), so server dedup, journal resume keys, and
+byte-identity checks between racing shard workers can never drift
+apart.
 """
 
 from __future__ import annotations
@@ -110,10 +110,9 @@ def canonicalize(value: Any) -> Any:
 def point_content_key(identity: str, item: Any) -> str:
     """Content key of one grid point: task identity + canonical item.
 
-    The key the sweep journal, the fabric ledger's manifest, and the
-    server's per-point bookkeeping all share —
-    :meth:`repro.harness.supervisor.SweepJournal.point_key` delegates
-    here, so existing journals keep their keys.
+    The key the sweep journal and the server's per-point bookkeeping
+    share — :func:`repro.harness.supervisor.point_key` delegates here,
+    so existing journals keep their keys.
     """
     payload = pickle.dumps(canonicalize(item), protocol=4)
     return hashlib.sha256(
@@ -448,44 +447,13 @@ class JobSpec:
     def run(self, trace_cache=None, jobs: int | None = None) -> list:
         """Execute this spec through the replay engine; ordered results.
 
-        The exact path ``repro-cosim`` takes: one capture (or cache
-        load), one replay per configuration — so
-        ``result_digest(spec.run(...))`` is byte-equal no matter which
-        front door issued the job.  Sampled specs route through the
-        sampled sweep and return ``SampledCoSimResult`` objects.
+        The path every front door takes: one capture (or cache load),
+        one replay per configuration — so ``result_digest(spec.run(...))``
+        is byte-equal no matter which front door issued the job.
+        Sampled specs route through the sampled sweep and return
+        ``SampledCoSimResult`` objects.
         """
-        from repro.harness.replay import load_or_capture, replay_sweep
-
-        if self.sample is not None:
-            from repro.simpoint import parse_sample_spec, sampled_sweep
-
-            log, _ = load_or_capture(
-                self.build_guest(),
-                self.cores,
-                quantum=self.quantum,
-                trace_cache=trace_cache,
-                key_extra=self.capture_key_extra(),
-            )
-            log_key = self.capture_key() if trace_cache is not None else None
-            return sampled_sweep(
-                log,
-                self.configs(),
-                parse_sample_spec(self.sample),
-                trace_cache=trace_cache,
-                log_key=log_key,
-            )
-        return replay_sweep(
-            self.build_guest(),
-            self.cores,
-            self.configs(),
-            quantum=self.quantum,
-            jobs=jobs,
-            trace_cache=trace_cache,
-            key_extra=self.capture_key_extra(),
-            spec=self._fault_spec(),
-            lenient=self.lenient,
-            audit=self.audit,
-        )
+        return _run_pass(self, self.configs(), trace_cache, jobs)
 
     # -- CLI mapping ---------------------------------------------------
 
@@ -532,6 +500,46 @@ class JobSpec:
         return argv
 
 
+def _run_pass(spec: JobSpec, configs: list, trace_cache, jobs: int | None) -> list:
+    """One replay pass of ``spec``'s capture over ``configs``.
+
+    Sampled specs capture (or load) the log once and sample the sweep;
+    exact specs replay it once per configuration.
+    """
+    if spec.sample is not None:
+        from repro.harness.replay import load_or_capture
+        from repro.simpoint import parse_sample_spec, sampled_sweep
+
+        log, _ = load_or_capture(
+            spec.build_guest(),
+            spec.cores,
+            quantum=spec.quantum,
+            trace_cache=trace_cache,
+            key_extra=spec.capture_key_extra(),
+        )
+        return sampled_sweep(
+            log,
+            configs,
+            parse_sample_spec(spec.sample),
+            trace_cache=trace_cache,
+            log_key=spec.capture_key() if trace_cache is not None else None,
+        )
+    from repro.harness.replay import replay_sweep
+
+    return replay_sweep(
+        spec.build_guest(),
+        spec.cores,
+        configs,
+        quantum=spec.quantum,
+        jobs=jobs,
+        trace_cache=trace_cache,
+        key_extra=spec.capture_key_extra(),
+        spec=spec._fault_spec(),
+        lenient=spec.lenient,
+        audit=spec.audit,
+    )
+
+
 def run_batch(
     specs: Sequence[JobSpec], trace_cache=None, jobs: int | None = None
 ) -> list[list]:
@@ -564,39 +572,7 @@ def run_batch(
                 position[slot] = len(union)
                 union.append(config)
 
-    if lead.sample is not None:
-        from repro.harness.replay import load_or_capture
-        from repro.simpoint import parse_sample_spec, sampled_sweep
-
-        log, _ = load_or_capture(
-            lead.build_guest(),
-            lead.cores,
-            quantum=lead.quantum,
-            trace_cache=trace_cache,
-            key_extra=lead.capture_key_extra(),
-        )
-        pooled = sampled_sweep(
-            log,
-            union,
-            parse_sample_spec(lead.sample),
-            trace_cache=trace_cache,
-            log_key=lead.capture_key() if trace_cache is not None else None,
-        )
-    else:
-        from repro.harness.replay import replay_sweep
-
-        pooled = replay_sweep(
-            lead.build_guest(),
-            lead.cores,
-            union,
-            quantum=lead.quantum,
-            jobs=jobs,
-            trace_cache=trace_cache,
-            key_extra=lead.capture_key_extra(),
-            spec=lead._fault_spec(),
-            lenient=lead.lenient,
-            audit=lead.audit,
-        )
+    pooled = _run_pass(lead, union, trace_cache, jobs)
     return [
         [
             pooled[position[(config.cache_size, config.line_size)]]

@@ -23,7 +23,7 @@ from repro.harness.executors.ledger import (
     ensure_no_conflicts,
 )
 from repro.harness.executors.worker import work_loop
-from repro.harness.supervisor import SweepJournal
+from repro.harness.supervisor import SupervisorContext, point_key, supervised_map
 
 
 # -- module-level tasks (ledger payloads pickle by reference) -----------
@@ -142,8 +142,9 @@ class TestLedgerFile:
         ledger = FabricLedger(path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "done", "key": "torn", "result": "AB')
-        ledger.append({"type": "failed", "key": "k", "worker": "w",
-                       "attempts": 1, "error": "E", "retry_after": 0.0})
+        ledger.append({"schema": LEDGER_FORMAT, "type": "failed", "key": "k",
+                       "worker": "w", "attempts": 1, "error": "E",
+                       "retry_after": 0.0})
         lines = path.read_bytes().splitlines()
         # The torn fragment became its own (invalid) line; the appended
         # record parses cleanly and the fragment's key never surfaces.
@@ -157,8 +158,9 @@ class TestLedgerFile:
     def test_scan_ignores_incomplete_final_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = FabricLedger(path)
-        ledger.append({"type": "failed", "key": "a", "worker": "w",
-                       "attempts": 1, "error": "E", "retry_after": 0.0})
+        ledger.append({"schema": LEDGER_FORMAT, "type": "failed", "key": "a",
+                       "worker": "w", "attempts": 1, "error": "E",
+                       "retry_after": 0.0})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "failed", "key": "b"')  # no newline yet
         reader = FabricLedger(path, resume=True, create=False)
@@ -263,11 +265,10 @@ class TestRecordDone:
 
 class TestJournalInterop:
     def test_fabric_resumes_from_a_pool_journal(self, tmp_path):
-        """A plain v3 journal entry reads as a fabric ``done`` record."""
+        """A result the pool journaled reads as a fabric ``done`` record."""
         path = tmp_path / "journal.jsonl"
-        key = SweepJournal.point_key(double, 21)
-        with SweepJournal(path) as journal:
-            journal.record(key, 42, wall_time_s=0.5, attempts=1)
+        key = point_key(double, 21)
+        FabricLedger(path).record(key, 42, wall_time_s=0.5, attempts=1)
         ledger = FabricLedger(path, resume=True)
         ledger.scan()
         assert ledger.state.points[key].result() == 42
@@ -276,13 +277,30 @@ class TestJournalInterop:
         """``--resume`` on a fabric ledger skips fabric-completed work."""
         path = tmp_path / "ledger.jsonl"
         ledger = FabricLedger(path)
-        key = SweepJournal.point_key(double, 21)
+        key = point_key(double, 21)
         ledger.manifest([(key, (double, 21), None)])
         ledger.try_claim("w1", 30.0, 2, 3)
         ledger.record_done(key, "w1", 42, 0.1, 1)
-        journal = SweepJournal(path, resume=True)
-        assert key in journal and journal.get(key) == 42
-        journal.close()
+        context = SupervisorContext(journal=FabricLedger(path, resume=True))
+        assert supervised_map(double, [21], context=context) == [42]
+        assert context.counts["journal-skip"] == 1
+
+    def test_recording_a_done_key_writes_nothing(self, tmp_path):
+        """The supervisor journals what a shard worker already recorded."""
+        path = tmp_path / "ledger.jsonl"
+        FabricLedger(path).record_done("k1", "w1", 42, 0.1, 1)
+        written = path.read_text()
+        FabricLedger(path, resume=True).record("k1", 42, wall_time_s=0.1)
+        assert path.read_text() == written
+
+    def test_untyped_pool_journal_entries_still_resume(self, tmp_path):
+        """Pool journals used to write results without a ``type``."""
+        path = tmp_path / "journal.jsonl"
+        FabricLedger(path).record("k1", 42)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        del rows[1]["type"], rows[1]["sha"]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert FabricLedger(path, resume=True).completed()["k1"].result() == 42
 
 
 class TestWorkLoop:
@@ -295,7 +313,7 @@ class TestWorkLoop:
                "quarantine_after": 3}
         row.update(config or {})
         ledger.write_config(row)
-        keys = [SweepJournal.point_key(task, item) for item in items]
+        keys = [point_key(task, item) for item in items]
         ledger.manifest([(k, (task, i), None) for k, i in zip(keys, items)])
         return path, ledger, keys
 

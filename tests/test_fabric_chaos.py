@@ -25,9 +25,11 @@ import pytest
 from repro.errors import SweepPointError
 from repro.harness.executors import tasks
 from repro.harness.executors.base import FabricConfig
+from repro.harness.executors.ledger import FabricLedger
 from repro.harness.supervisor import (
     SupervisorContext,
     SupervisorPolicy,
+    point_key,
     supervise,
     supervised_map,
 )
@@ -57,24 +59,21 @@ class TestFabricIdentity:
         serial = supervised_map(
             tasks.model_mpki_point, GRID, context=SupervisorContext()
         )
-        fabric = FabricConfig(
-            shards=3,
-            lease_ttl=10.0,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-        )
-        with supervise(SupervisorPolicy(), fabric=fabric) as context:
+        fabric = FabricConfig(shards=3, lease_ttl=10.0)
+        journal = FabricLedger(tmp_path / "ledger.jsonl")
+        with supervise(SupervisorPolicy(), journal=journal, fabric=fabric) as context:
             out = supervised_map(tasks.model_mpki_point, GRID)
         assert identical(out, serial)
         assert context.counts["fabric-lease"] == len(GRID)
         assert "fabric-steal" not in context.counts
 
     def test_fabric_resume_skips_completed_points(self, tmp_path):
-        ledger = str(tmp_path / "ledger.jsonl")
-        fabric = FabricConfig(shards=2, ledger_path=ledger)
-        with supervise(SupervisorPolicy(), fabric=fabric):
+        ledger = tmp_path / "ledger.jsonl"
+        fabric = FabricConfig(shards=2)
+        with supervise(SupervisorPolicy(), journal=FabricLedger(ledger), fabric=fabric):
             first = supervised_map(tasks.model_mpki_point, GRID)
-        resumed = FabricConfig(shards=2, ledger_path=ledger, resume=True)
-        with supervise(SupervisorPolicy(), fabric=resumed) as context:
+        resumed = FabricLedger(ledger, resume=True)
+        with supervise(SupervisorPolicy(), journal=resumed, fabric=fabric) as context:
             second = supervised_map(tasks.model_mpki_point, GRID)
         assert identical(first, second)
         assert context.counts["journal-skip"] == len(GRID)
@@ -93,21 +92,18 @@ class TestChaos:
         fabric = FabricConfig(
             shards=2,
             lease_ttl=1.0,
-            ledger_path=str(ledger_path),
             observer=monkey,
             max_respawns=16,
         )
-        with supervise(SupervisorPolicy(), fabric=fabric) as context:
+        journal = FabricLedger(ledger_path)
+        with supervise(SupervisorPolicy(), journal=journal, fabric=fabric) as context:
             out = supervised_map(tasks.slow_mpki_point, GRID)
         assert len(monkey.delivered) >= 3, (
             "the sweep drained before the monkey's quota — the run "
             f"proved nothing (delivered: {monkey.delivered})"
         )
         assert identical(out, serial)
-        keys = [
-            chaos_sweep.SweepJournal.point_key(tasks.slow_mpki_point, item)
-            for item in GRID
-        ]
+        keys = [point_key(tasks.slow_mpki_point, item) for item in GRID]
         assert chaos_sweep.audit_ledger(ledger_path, keys) == []
         assert context.counts["fabric-worker-respawn"] >= 3
 
@@ -128,13 +124,9 @@ class TestChaos:
         serial = supervised_map(
             tasks.slow_mpki_point, grid, context=SupervisorContext()
         )
-        fabric = FabricConfig(
-            shards=2,
-            lease_ttl=1.0,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-            observer=late_killer,
-        )
-        with supervise(SupervisorPolicy(), fabric=fabric):
+        fabric = FabricConfig(shards=2, lease_ttl=1.0, observer=late_killer)
+        journal = FabricLedger(tmp_path / "ledger.jsonl")
+        with supervise(SupervisorPolicy(), journal=journal, fabric=fabric):
             out = supervised_map(tasks.slow_mpki_point, grid)
         assert identical(out, serial)
         assert killed  # the kill really happened
@@ -142,53 +134,39 @@ class TestChaos:
 
 class TestQuarantine:
     def test_poison_point_is_quarantined_and_degrades(self, tmp_path):
-        fabric = FabricConfig(
-            shards=2,
-            lease_ttl=0.5,
-            quarantine_after=2,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-        )
+        fabric = FabricConfig(shards=2, lease_ttl=0.5, quarantine_after=2)
         policy = SupervisorPolicy(failure_value=float("nan"))
-        with supervise(policy, fabric=fabric) as context:
+        journal = FabricLedger(tmp_path / "ledger.jsonl")
+        with supervise(policy, journal=journal, fabric=fabric) as context:
             out = supervised_map(tasks.poison_point, [("poison", 0, 0, 0)])
         assert len(out) == 1 and math.isnan(out[0])
         assert context.counts["fabric-quarantined"] == 1
         assert context.counts["point-degraded"] == 1
 
     def test_poison_point_raises_without_degradation(self, tmp_path):
-        fabric = FabricConfig(
-            shards=2,
-            lease_ttl=0.5,
-            quarantine_after=2,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-        )
+        fabric = FabricConfig(shards=2, lease_ttl=0.5, quarantine_after=2)
+        journal = FabricLedger(tmp_path / "ledger.jsonl")
         with pytest.raises(SweepPointError, match="quarantined"):
-            with supervise(SupervisorPolicy(), fabric=fabric):
+            with supervise(SupervisorPolicy(), journal=journal, fabric=fabric):
                 supervised_map(tasks.poison_point, [("poison", 0, 0, 0)])
 
 
 class TestFailurePaths:
     def test_exhausted_point_raises_sweep_point_error(self, tmp_path):
-        fabric = FabricConfig(
-            shards=2,
-            lease_ttl=10.0,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-        )
+        fabric = FabricConfig(shards=2, lease_ttl=10.0)
         policy = SupervisorPolicy(retries=1, backoff_base=0.01)
+        journal = FabricLedger(tmp_path / "ledger.jsonl")
         with pytest.raises(SweepPointError, match="bad point"):
-            with supervise(policy, fabric=fabric):
+            with supervise(policy, journal=journal, fabric=fabric):
                 supervised_map(always_raises, [1])
 
     def test_exhausted_point_degrades_when_lenient(self, tmp_path):
-        fabric = FabricConfig(
-            shards=2,
-            lease_ttl=10.0,
-            ledger_path=str(tmp_path / "ledger.jsonl"),
-        )
+        fabric = FabricConfig(shards=2, lease_ttl=10.0)
         policy = SupervisorPolicy(
             retries=1, backoff_base=0.01, failure_value=None
         )
-        with supervise(policy, fabric=fabric) as context:
+        journal = FabricLedger(tmp_path / "ledger.jsonl")
+        with supervise(policy, journal=journal, fabric=fabric) as context:
             out = supervised_map(always_raises, [1, 2])
         assert out == [None, None]
         assert context.counts["point-degraded"] == 2

@@ -31,11 +31,11 @@ from repro.governor.retry import TRANSIENT_ERRNOS, is_transient, retry_io
 from repro.harness.supervisor import (
     SupervisorContext,
     SupervisorPolicy,
-    SweepJournal,
     supervise,
     supervised_map,
 )
 from repro.harness.executors import tasks
+from repro.harness.executors.ledger import FabricLedger
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.sinks import MAX_CONSECUTIVE_WRITE_ERRORS, JsonlSink
 from repro.trace.cache import PINS_DIR, TraceCache, cache_key, pin_entry
@@ -154,20 +154,20 @@ class TestFsShim:
     def test_different_sites_draw_independent_streams(self):
         plan = fsshim.FsFaultPlan(seed=7, enospc=0.5)
         store, _ = self._deliveries(plan, "trace-cache.store", 40)
-        journal, _ = self._deliveries(plan, "journal.append", 40)
+        journal, _ = self._deliveries(plan, "ledger.append", 40)
         assert store != journal
 
     def test_limit_caps_total_deliveries(self):
         plan = fsshim.FsFaultPlan(seed=1, eio=1.0, limit=3)
-        outcomes, delivered = self._deliveries(plan, "journal.append", 10)
+        outcomes, delivered = self._deliveries(plan, "ledger.append", 10)
         assert len(delivered) == 3
         assert outcomes[3:] == [None] * 7
 
     def test_sites_filter_restricts_blast_radius(self):
         plan = fsshim.FsFaultPlan(
-            seed=1, eio=1.0, sites=frozenset({"ledger.append"})
+            seed=1, eio=1.0, sites=frozenset({"trace-cache.store"})
         )
-        outcomes, delivered = self._deliveries(plan, "journal.append", 5)
+        outcomes, delivered = self._deliveries(plan, "ledger.append", 5)
         assert outcomes == [None] * 5 and delivered == []
 
     def test_uninstalled_shim_is_silent(self):
@@ -177,12 +177,13 @@ class TestFsShim:
 
     def test_parse_round_trip(self):
         plan = fsshim.FsFaultPlan.parse(
-            "seed=7, enospc=0.1, eio=0.05, limit=8, sites=journal.append+ledger.append"
+            "seed=7, enospc=0.1, eio=0.05, limit=8, "
+            "sites=trace-cache.store+ledger.append"
         )
         assert plan.seed == 7
         assert plan.enospc == 0.1 and plan.eio == 0.05
         assert plan.limit == 8
-        assert plan.sites == frozenset({"journal.append", "ledger.append"})
+        assert plan.sites == frozenset({"trace-cache.store", "ledger.append"})
 
     @pytest.mark.parametrize(
         "text",
@@ -578,14 +579,13 @@ class TestDeadline:
         path = tmp_path / "journal.jsonl"
         with govern(ResourceBudget(deadline_s=0.15)):
             with pytest.raises(DeadlineExpired) as exc_info:
-                with SweepJournal(path) as journal:
-                    with supervise(SupervisorPolicy(), journal=journal):
-                        supervised_map(_napping_task, grid, jobs=1)
+                with supervise(SupervisorPolicy(), journal=FabricLedger(path)):
+                    supervised_map(_napping_task, grid, jobs=1)
         assert 0 < exc_info.value.completed < exc_info.value.total
         assert "deadline expired" in capsys.readouterr().err
-        with SweepJournal(path, resume=True) as journal:
-            with supervise(SupervisorPolicy(), journal=journal) as context:
-                resumed = supervised_map(_napping_task, grid, jobs=1)
+        journal = FabricLedger(path, resume=True)
+        with supervise(SupervisorPolicy(), journal=journal) as context:
+            resumed = supervised_map(_napping_task, grid, jobs=1)
         assert context.counts["journal-skip"] == exc_info.value.completed
         assert resumed == [i * i for i in grid]
 
@@ -597,15 +597,13 @@ class TestDeadline:
         path = tmp_path / "journal.jsonl"
         with govern(ResourceBudget(deadline_s=0.5)):
             with pytest.raises(DeadlineExpired) as exc_info:
-                with SweepJournal(path) as journal:
-                    with supervise(SupervisorPolicy(), journal=journal):
-                        supervised_map(task, grid, jobs=2)
+                with supervise(SupervisorPolicy(), journal=FabricLedger(path)):
+                    supervised_map(task, grid, jobs=2)
         assert exc_info.value.completed < exc_info.value.total
         assert "deadline expired" in capsys.readouterr().err
         baseline = supervised_map(task, grid, context=SupervisorContext())
-        with SweepJournal(path, resume=True) as journal:
-            with supervise(SupervisorPolicy(), journal=journal):
-                resumed = supervised_map(task, grid, jobs=2)
+        with supervise(SupervisorPolicy(), journal=FabricLedger(path, resume=True)):
+            resumed = supervised_map(task, grid, jobs=2)
         assert resumed == baseline
 
     def test_deadline_is_noted_once_in_the_governor(self):

@@ -22,7 +22,7 @@ from repro.exit_codes import (
 )
 from repro.harness.cli import build_parser
 from repro.harness.replay import log_cache_key
-from repro.harness.supervisor import SweepJournal
+from repro.harness.supervisor import point_key
 from repro.serve.jobspec import (
     JOBSPEC_VERSION,
     CanonicalSet,
@@ -201,7 +201,7 @@ class TestContentKeyHelpers:
 
         item = {"b": 2, "a": {1, 2, 3}}
         identity = f"{task.__module__}.{task.__qualname__}"
-        assert SweepJournal.point_key(task, item) == point_content_key(identity, item)
+        assert point_key(task, item) == point_content_key(identity, item)
         # And the historical derivation, byte for byte: existing
         # journals and ledgers must keep resuming.
         expected = hashlib.sha256(
@@ -256,3 +256,79 @@ class TestExitCodes:
         assert EXIT_USAGE == 2  # argparse's own
         assert EXIT_DEADLINE == 124  # timeout(1)
         assert EXIT_INTERRUPTED == 130  # 128 + SIGINT
+
+
+def _force_audit_violations(monkeypatch) -> None:
+    """Every end-of-run audit report gains one failed check."""
+    import dataclasses
+
+    import repro.harness.replay as replay_module
+    from repro.audit.report import AuditCheck
+
+    real_run_audit = replay_module.run_audit
+
+    def run_audit(*args, **kwargs):
+        report = real_run_audit(*args, **kwargs)
+        forced = AuditCheck(name="forced", ok=False, detail="forced violation")
+        return dataclasses.replace(report, checks=report.checks + (forced,))
+
+    monkeypatch.setattr(replay_module, "run_audit", run_audit)
+
+
+def _cosim(argv, monkeypatch) -> int:
+    from repro.harness import cli
+
+    return cli.main(
+        ["--workload", "FIMI", "--cores", "2", "--cache", "1MB,4MB",
+         "--source", "synthetic", "--accesses", "4000",
+         "--trace-cache", "off", *argv]
+    )
+
+
+def _runall(exhibit: str):
+    """``runall.main`` over one extended exhibit (each runs in under 1 s)."""
+
+    def run(argv, monkeypatch) -> int:
+        from repro.harness import runall
+
+        monkeypatch.setattr(runall, "PAPER_EXHIBITS", ())
+        monkeypatch.setattr(runall, "EXTENDED_EXHIBITS", (getattr(runall, exhibit),))
+        return runall.main(["--extended", "--trace-cache", "off", *argv])
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "main, case",
+    [
+        (_cosim, "audit"),
+        (_cosim, "deadline"),
+        # ablations replays outside any map: a bare AuditError.
+        (_runall("ablations"), "audit"),
+        # bandwidth_study replays inside a map: the AuditError is the
+        # cause of a SweepPointError.
+        (_runall("bandwidth_study"), "audit"),
+        (_runall("bandwidth_study"), "deadline"),
+    ],
+    ids=["cosim-audit", "cosim-deadline", "runall-ablations-audit",
+         "runall-bandwidth-audit", "runall-bandwidth-deadline"],
+)
+def test_sweep_clis_share_exit_codes(main, case, monkeypatch, capsys):
+    """A strict audit violation exits 3 and an expired deadline 124,
+    reported once on stderr, from either sweep CLI."""
+    from repro.audit import AUDIT_ENV, AUDIT_OFF
+
+    # runall delivers --audit through the environment; restore it after.
+    monkeypatch.setenv(AUDIT_ENV, AUDIT_OFF)
+    if case == "audit":
+        _force_audit_violations(monkeypatch)
+        code = main(["--audit", "sample", "--retries", "0"], monkeypatch)
+        assert code == EXIT_AUDIT
+        err = capsys.readouterr().err
+        assert err.count("audit failed") == 1
+        assert "1/9 checks FAILED (forced)" in err
+    else:
+        code = main(["--deadline", "1e-6"], monkeypatch)
+        assert code == EXIT_DEADLINE
+        out, err = capsys.readouterr()
+        assert err.count("deadline: ") == 1 and "deadline: " not in out

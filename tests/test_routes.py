@@ -3,8 +3,9 @@
 One job spec must yield one ``result_digest`` whichever front door ran
 it: ``JobSpec.run()`` serial or pooled, the same under ``supervise()``,
 the shard fabric, a ``run_batch`` slice, or a ``JobServer`` job.  A
-journal or shard ledger written without a trace cache must let a
-resumed run skip every point and append nothing.
+journal written without a trace cache must let a resumed run skip every
+point and append nothing, and a sweep stopped on one executor must
+finish on the other.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import pytest
 from repro.errors import SweepInterrupted
 from repro.faults.spec import FaultSpec
 from repro.harness.executors.base import FabricConfig
-from repro.harness.supervisor import SupervisorPolicy, SweepJournal, supervise
+from repro.harness.executors.ledger import FabricLedger
+from repro.harness.supervisor import SupervisorPolicy, supervise
 from repro.serve.jobspec import JobSpec, result_digest, run_batch
 from repro.serve.server import JobServer
 
@@ -56,10 +58,9 @@ def _supervised(spec: JobSpec, tmp_path: Path, jobs: int | None = None, **kwargs
 
 
 def _shard(spec: JobSpec, tmp_path: Path):
-    fabric = FabricConfig(
-        shards=2, lease_ttl=10.0, ledger_path=str(tmp_path / "ledger.jsonl")
-    )
-    return _supervised(spec, tmp_path, fabric=fabric)
+    # No journal: each map runs its workers over a temporary ledger.
+    # Journal-plus-fabric is covered by the resume tests below.
+    return _supervised(spec, tmp_path, fabric=FabricConfig(shards=2, lease_ttl=10.0))
 
 
 def _batch_slice(spec: JobSpec, tmp_path: Path):
@@ -108,6 +109,11 @@ def _lines(path: Path) -> int:
     return len(path.read_text().splitlines())
 
 
+def _done_keys(path: Path) -> list[str]:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [row["key"] for row in rows if row.get("type") == "done"]
+
+
 class TestResumeWithoutTraceCache:
     """A point key names the captured log by content, never by the
     temporary directory an uncached log is spilled into."""
@@ -115,12 +121,11 @@ class TestResumeWithoutTraceCache:
     def test_pool_journal_resume_skips_every_point(self, tmp_path):
         spec = _spec("exact")
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal, supervise(journal=journal):
+        with supervise(journal=FabricLedger(path)):
             first = spec.run(jobs=2)
         written = _lines(path)
-        with SweepJournal(path, resume=True) as journal:
-            with supervise(journal=journal) as context:
-                second = spec.run(jobs=2)
+        with supervise(journal=FabricLedger(path, resume=True)) as context:
+            second = spec.run(jobs=2)
         assert context.counts.get("journal-skip") == len(spec.cache)
         assert _lines(path) == written
         assert result_digest(second) == result_digest(first)
@@ -128,11 +133,11 @@ class TestResumeWithoutTraceCache:
     def test_shard_ledger_resume_skips_every_point(self, tmp_path):
         spec = _spec("exact")
         path = tmp_path / "ledger.jsonl"
-        with supervise(fabric=FabricConfig(shards=2, ledger_path=str(path))):
+        with supervise(journal=FabricLedger(path), fabric=FabricConfig(shards=2)):
             first = spec.run()
         written = _lines(path)
-        resumed = FabricConfig(shards=2, ledger_path=str(path), resume=True)
-        with supervise(fabric=resumed) as context:
+        journal = FabricLedger(path, resume=True)
+        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
             second = spec.run()
         assert context.counts.get("journal-skip") == len(spec.cache)
         assert "fabric-lease" not in context.counts
@@ -150,22 +155,18 @@ class TestResumeWithoutTraceCache:
         # One shard, and every first attempt stalls for a second, so the
         # observer stops the sweep while the second point still sleeps.
         stopped = FabricConfig(
-            shards=1,
-            ledger_path=str(path),
-            grace=0.1,
-            observer=stop_after_first_result,
+            shards=1, grace=0.1, observer=stop_after_first_result
         )
         stall = FaultSpec.parse("seed=1,hang=1,hang-seconds=1")
         with pytest.raises(SweepInterrupted):
-            with supervise(fault_spec=stall, fabric=stopped):
+            with supervise(
+                journal=FabricLedger(path), fault_spec=stall, fabric=stopped
+            ):
                 spec.run()
-        finished = sum(
-            json.loads(line).get("type") == "done"
-            for line in path.read_text().splitlines()
-        )
+        finished = len(_done_keys(path))
         assert 1 <= finished < len(spec.cache)
-        resumed = FabricConfig(shards=2, ledger_path=str(path), resume=True)
-        with supervise(fabric=resumed) as context:
+        journal = FabricLedger(path, resume=True)
+        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
             results = spec.run()
         assert context.counts.get("journal-skip") == finished
         assert result_digest(results) == result_digest(spec.run())
@@ -174,11 +175,10 @@ class TestResumeWithoutTraceCache:
         self, tmp_path
     ):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal, supervise(journal=journal):
+        with supervise(journal=FabricLedger(path)):
             _spec("exact").run(jobs=2)
-        with SweepJournal(path, resume=True) as journal:
-            with supervise(journal=journal) as context:
-                _spec("exact", accesses=2048).run(jobs=2)
+        with supervise(journal=FabricLedger(path, resume=True)) as context:
+            _spec("exact", accesses=2048).run(jobs=2)
         assert "journal-skip" not in context.counts
 
     def test_guests_without_key_extra_are_keyed_by_their_arrays(self, tmp_path):
@@ -188,11 +188,71 @@ class TestResumeWithoutTraceCache:
         workload = get_workload("FIMI")
         configs = size_sweep_configs([MB, 4 * MB])
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal, supervise(journal=journal):
+        with supervise(journal=FabricLedger(path)):
             replay_sweep(workload.synthetic_guest(accesses_per_thread=2048), 2, configs)
-        with SweepJournal(path, resume=True) as journal:
-            with supervise(journal=journal) as context:
-                replay_sweep(
-                    workload.synthetic_guest(accesses_per_thread=4096), 2, configs
-                )
+        with supervise(journal=FabricLedger(path, resume=True)) as context:
+            replay_sweep(workload.synthetic_guest(accesses_per_thread=4096), 2, configs)
         assert "journal-skip" not in context.counts
+
+
+class TestResumeAcrossExecutors:
+    """One journal, whichever executor wrote it: a sweep stopped on one
+    backend finishes on the other, skips exactly the points the journal
+    holds results for, and records every point once."""
+
+    SIZES = [MB, 2 * MB, 4 * MB, 8 * MB]
+
+    def _check_resumed(self, spec, path, context, results, finished):
+        assert context.counts.get("journal-skip") == finished
+        keys = _done_keys(path)
+        assert len(keys) == len(set(keys)) == len(spec.cache)
+        assert result_digest(results) == result_digest(spec.run())
+
+    def test_pool_journal_resumes_on_the_shard_fabric(self, tmp_path, monkeypatch):
+        import repro.harness.replay as replay_module
+
+        spec = _spec("exact", cache=self.SIZES)
+        path = tmp_path / "journal.jsonl"
+        real_replay = replay_module.replay
+        calls = []
+
+        def stop_at_second_point(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise KeyboardInterrupt
+            return real_replay(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(replay_module, "replay", stop_at_second_point)
+            with pytest.raises(SweepInterrupted):
+                with supervise(journal=FabricLedger(path)):
+                    spec.run()
+        finished = len(_done_keys(path))
+        assert finished == 1
+        journal = FabricLedger(path, resume=True)
+        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
+            results = spec.run()
+        self._check_resumed(spec, path, context, results, finished)
+
+    def test_shard_ledger_resumes_on_the_pool(self, tmp_path):
+        spec = _spec("exact", cache=self.SIZES)
+        path = tmp_path / "journal.jsonl"
+
+        def stop_after_first_result(backend, cycle):
+            if any(ps.done for ps in backend.ledger.state.points.values()):
+                raise KeyboardInterrupt
+
+        stopped = FabricConfig(
+            shards=1, grace=0.1, observer=stop_after_first_result
+        )
+        stall = FaultSpec.parse("seed=1,hang=1,hang-seconds=1")
+        with pytest.raises(SweepInterrupted):
+            with supervise(
+                journal=FabricLedger(path), fault_spec=stall, fabric=stopped
+            ):
+                spec.run()
+        finished = len(_done_keys(path))
+        assert 1 <= finished < len(spec.cache)
+        with supervise(journal=FabricLedger(path, resume=True)) as context:
+            results = spec.run(jobs=2)
+        self._check_resumed(spec, path, context, results, finished)

@@ -17,12 +17,12 @@ import pytest
 
 from repro.errors import ConfigurationError, SweepInterrupted, SweepPointError
 from repro.faults.spec import FaultSpec
+from repro.harness.executors.ledger import LEDGER_FORMAT, FabricLedger
 from repro.harness.parallel import parallel_map
 from repro.harness.supervisor import (
-    JOURNAL_FORMAT,
     SupervisorContext,
     SupervisorPolicy,
-    SweepJournal,
+    point_key,
     supervise,
     supervised_map,
 )
@@ -174,66 +174,60 @@ class TestTimeouts:
 class TestJournalResume:
     def test_completed_points_are_skipped_on_resume(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(journal=journal)
-            first = supervised_map(square, [1, 2, 3], jobs=None, context=context)
-        with SweepJournal(path, resume=True) as journal:
-            context = SupervisorContext(journal=journal)
-            second = supervised_map(square, [1, 2, 3], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path))
+        first = supervised_map(square, [1, 2, 3], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path, resume=True))
+        second = supervised_map(square, [1, 2, 3], jobs=None, context=context)
         assert first == second
         assert context.counts["journal-skip"] == 3
 
     def test_partial_journal_reruns_only_missing_points(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(journal=journal)
-            supervised_map(square, [1, 2], jobs=None, context=context)
-        with SweepJournal(path, resume=True) as journal:
-            context = SupervisorContext(journal=journal)
-            out = supervised_map(square, [1, 2, 3, 4], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path))
+        supervised_map(square, [1, 2], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path, resume=True))
+        out = supervised_map(square, [1, 2, 3, 4], jobs=None, context=context)
         assert out == [1, 4, 9, 16]
         assert context.counts["journal-skip"] == 2
 
     def test_torn_tail_line_is_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(journal=journal)
-            supervised_map(square, [1, 2, 3], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path))
+        supervised_map(square, [1, 2, 3], jobs=None, context=context)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "deadbeef", "result": "truncat')  # no newline
-        with SweepJournal(path, resume=True) as journal:
-            context = SupervisorContext(journal=journal)
-            out = supervised_map(square, [1, 2, 3], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path, resume=True))
+        out = supervised_map(square, [1, 2, 3], jobs=None, context=context)
         assert out == [1, 4, 9]
         assert context.counts["journal-skip"] == 3
 
     def test_point_key_depends_on_task_and_item(self):
-        assert SweepJournal.point_key(square, 1) == SweepJournal.point_key(square, 1)
-        assert SweepJournal.point_key(square, 1) != SweepJournal.point_key(square, 2)
-        assert SweepJournal.point_key(square, 1) != SweepJournal.point_key(
+        assert point_key(square, 1) == point_key(square, 1)
+        assert point_key(square, 1) != point_key(square, 2)
+        assert point_key(square, 1) != point_key(
             always_fails, 1
         )
 
     def test_point_key_ignores_container_ordering(self):
         """Pickle serializes dicts/sets in iteration order; the key must
         not — equal grid points get equal keys however they were built."""
-        assert SweepJournal.point_key(square, {"a": 1, "b": 2}) == (
-            SweepJournal.point_key(square, {"b": 2, "a": 1})
+        assert point_key(square, {"a": 1, "b": 2}) == (
+            point_key(square, {"b": 2, "a": 1})
         )
-        assert SweepJournal.point_key(square, {"a": 1, "b": 2}) != (
-            SweepJournal.point_key(square, {"a": 2, "b": 1})
+        assert point_key(square, {"a": 1, "b": 2}) != (
+            point_key(square, {"a": 2, "b": 1})
         )
         nested = {"geometry": {"size": 1, "lines": 64}, "flags": ["x"]}
         reordered = {"flags": ["x"], "geometry": {"lines": 64, "size": 1}}
-        assert SweepJournal.point_key(square, nested) == (
-            SweepJournal.point_key(square, reordered)
+        assert point_key(square, nested) == (
+            point_key(square, reordered)
         )
-        assert SweepJournal.point_key(square, {3, 1, 2}) == (
-            SweepJournal.point_key(square, {2, 3, 1})
+        assert point_key(square, {3, 1, 2}) == (
+            point_key(square, {2, 3, 1})
         )
         # A set is not the tuple of its members.
-        assert SweepJournal.point_key(square, {1, 2}) != (
-            SweepJournal.point_key(square, (1, 2))
+        assert point_key(square, {1, 2}) != (
+            point_key(square, (1, 2))
         )
 
     def test_resume_skips_reordered_dict_points(self, tmp_path):
@@ -241,15 +235,11 @@ class TestJournalResume:
         was rebuilt with a different insertion order."""
         path = tmp_path / "journal.jsonl"
         first_grid = [{"a": 1, "b": 2}, {"b": 30, "a": 10}]
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(journal=journal)
-            first = supervised_map(dict_total, first_grid, jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path))
+        first = supervised_map(dict_total, first_grid, jobs=None, context=context)
         reordered_grid = [{"b": 2, "a": 1}, {"a": 10, "b": 30}]
-        with SweepJournal(path, resume=True) as journal:
-            context = SupervisorContext(journal=journal)
-            second = supervised_map(
-                dict_total, reordered_grid, jobs=None, context=context
-            )
+        context = SupervisorContext(journal=FabricLedger(path, resume=True))
+        second = supervised_map(dict_total, reordered_grid, jobs=None, context=context)
         assert first == second == [3, 40]
         assert context.counts["journal-skip"] == 2
 
@@ -271,15 +261,20 @@ class TestInterrupt:
 class TestJournalDurability:
     def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
         """A point counts as journaled only once the bytes hit the
-        platter — record() must fsync, not merely flush."""
+        platter — record() must fsync, not merely flush.  The sync must
+        land on the journal file itself, not on its ``.lock`` sidecar."""
         synced = []
         real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
-        with SweepJournal(tmp_path / "journal.jsonl") as journal:
-            before = len(synced)
-            journal.record("k1", 42)
-            assert len(synced) == before + 1
-            assert synced[-1] == journal._handle.fileno()
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino) or real_fsync(fd)
+        )
+        path = tmp_path / "journal.jsonl"
+        journal = FabricLedger(path)
+        before = len(synced)
+        journal.record("k1", 42)
+        assert len(synced) == before + 1
+        assert synced[-1] == path.stat().st_ino
+        assert journal.completed()["k1"].result() == 42
 
     def test_mid_record_kill_loses_only_the_torn_point(self, tmp_path):
         """SIGKILL delivered mid-``write(2)``: the journal keeps every
@@ -298,15 +293,17 @@ class TestJournalDurability:
         script = textwrap.dedent(
             f"""
             import os, signal
-            from repro.harness.supervisor import SweepJournal
-            journal = SweepJournal({str(path)!r})
-            journal.record(SweepJournal.point_key(abs, 1), 1)
-            journal.record(SweepJournal.point_key(abs, 2), 4)
+            from repro.harness.executors.ledger import FabricLedger
+            from repro.harness.supervisor import point_key
+            journal = FabricLedger({str(path)!r})
+            journal.record(point_key(abs, 1), 1)
+            journal.record(point_key(abs, 2), 4)
             # Begin a third record but die with only half its bytes
             # written (bypassing record(), whose write is atomic from
             # Python's side — the torn state is what the *kernel* has).
-            journal._handle.write('{{"schema": 3, "key": "half-a-rec')
-            journal._handle.flush()
+            handle = open({str(path)!r}, "a")
+            handle.write('{{"schema": 3, "key": "half-a-rec')
+            handle.flush()
             os.kill(os.getpid(), signal.SIGKILL)
             """
         )
@@ -316,11 +313,11 @@ class TestJournalDurability:
         )
         proc = subprocess.run([sys.executable, "-c", script], env=env)
         assert proc.returncode == -signal.SIGKILL
-        with SweepJournal(path, resume=True) as journal:
-            assert journal.entries == {
-                SweepJournal.point_key(abs, 1): 1,
-                SweepJournal.point_key(abs, 2): 4,
-            }
+        completed = FabricLedger(path, resume=True).completed()
+        assert {key: ps.result() for key, ps in completed.items()} == {
+            point_key(abs, 1): 1,
+            point_key(abs, 2): 4,
+        }
 
 
 class TestTerminateFallback:
@@ -471,28 +468,26 @@ class TestJournalV3:
 
     def test_entries_carry_wall_time_and_attempts(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(journal=journal)
-            supervised_map(square, [1, 2], jobs=None, context=context)
+        context = SupervisorContext(journal=FabricLedger(path))
+        supervised_map(square, [1, 2], jobs=None, context=context)
         rows = [
             json.loads(line)
             for line in path.read_text(encoding="utf-8").splitlines()
         ]
-        assert rows[0] == {"format": JOURNAL_FORMAT}
+        assert rows[0] == {"format": LEDGER_FORMAT}
         for row in rows[1:]:
-            assert row["schema"] == JOURNAL_FORMAT
+            assert row["schema"] == LEDGER_FORMAT
             assert row["attempts"] == 1
             assert isinstance(row["wall_time_s"], float)
             assert row["wall_time_s"] >= 0.0
 
     def test_retried_point_records_its_attempt_count(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(
-                policy=SupervisorPolicy(retries=2, backoff_base=0.01),
-                journal=journal,
-            )
-            supervised_map(flaky_raise, [(5, str(tmp_path))], jobs=None, context=context)
+        context = SupervisorContext(
+            policy=SupervisorPolicy(retries=2, backoff_base=0.01),
+            journal=FabricLedger(path),
+        )
+        supervised_map(flaky_raise, [(5, str(tmp_path))], jobs=None, context=context)
         rows = [
             json.loads(line)
             for line in path.read_text(encoding="utf-8").splitlines()
@@ -501,17 +496,26 @@ class TestJournalV3:
 
     def test_resume_loads_cost_metadata(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            context = SupervisorContext(journal=journal)
-            supervised_map(square, [1, 2, 3], jobs=None, context=context)
-        with SweepJournal(path, resume=True) as journal:
-            assert len(journal.meta) == 3
-            for meta in journal.meta.values():
-                assert meta["attempts"] == 1
-                assert meta["wall_time_s"] >= 0.0
+        context = SupervisorContext(journal=FabricLedger(path))
+        supervised_map(square, [1, 2, 3], jobs=None, context=context)
+        completed = FabricLedger(path, resume=True).completed()
+        assert len(completed) == 3
+        for ps in completed.values():
+            assert ps.done["attempts"] == 1
+            assert ps.done["wall_time_s"] >= 0.0
 
     def test_v2_journal_is_refused(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text('{"format": 2}\n', encoding="utf-8")
         with pytest.raises(ConfigurationError, match="schema 2"):
-            SweepJournal(path, resume=True)
+            FabricLedger(path, resume=True)
+
+    def test_v2_entry_in_a_v3_journal_is_refused(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(
+            '{"format": 3}\n{"schema": 2, "key": "k1", "result": "x"}\n',
+            encoding="utf-8",
+        )
+        journal = FabricLedger(path, resume=True)
+        with pytest.raises(ConfigurationError, match="entry carries schema 2"):
+            supervised_map(square, [1], context=SupervisorContext(journal=journal))
