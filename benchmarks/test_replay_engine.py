@@ -29,6 +29,20 @@ WORKLOAD = "FIMI"
 CORES = 4
 
 
+class _PassThrough:
+    """Forwards every transaction unchanged.  ``replay_into`` batches
+    only a bare strict emulator, so this selects its per-event loop."""
+
+    def __init__(self, downstream):
+        self.downstream = downstream
+
+    def snoop(self, transaction):
+        self.downstream.snoop(transaction)
+
+    def snoop_chunk(self, chunk):
+        self.downstream.snoop_chunk(chunk)
+
+
 def _run_baseline() -> float:
     guest = get_workload(WORKLOAD).kernel_guest()
     start = time.perf_counter()
@@ -126,7 +140,7 @@ def test_cosim_end_to_end_rate(bench_record):
 
     emulator = DragonheadEmulator(config)
     start = time.perf_counter()
-    replay_into(log, emulator, on_event=lambda position: None)
+    replay_into(log, _PassThrough(emulator))
     per_event_time = time.perf_counter() - start
     per_event_rate = result.accesses / per_event_time
     assert emulator.read_performance_data() == result.performance

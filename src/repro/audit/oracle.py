@@ -20,12 +20,9 @@ what makes its final LRU order exactly comparable.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.cache.replacement import LRUPolicy
-from repro.errors import CheckpointError
 
 #: Default 1-in-K set sampling for ``--audit sample``.  The generic
 #: policy is ~10x slower per access than the kernel, so auditing 1/64th
@@ -46,8 +43,8 @@ class OracleTap:
         every: sample 1 in ``every`` (bank, set) pairs; 1 audits all.
 
     The sampled slice is ``(set * num_banks + bank) % every == 0`` — a
-    pure function of the geometry, so a fresh run, its replay, and a
-    checkpoint-resumed run all audit the same sets.
+    pure function of the geometry, so a fresh run and its replay audit
+    the same sets.
     """
 
     def __init__(
@@ -136,31 +133,6 @@ class OracleTap:
                     f"{_preview(actual)}, oracle expects {_preview(expected)}"
                 )
         return problems
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        """Oracle directory state for a checkpoint.
-
-        The policies are deep-copied so the snapshot is isolated from
-        the live run continuing to mutate them.
-        """
-        return {
-            "every": self.every,
-            "observed": self.observed,
-            "policies": copy.deepcopy(self._policies),
-        }
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore oracle state captured by :meth:`state_dict`."""
-        if state["every"] != self.every:
-            raise CheckpointError(
-                f"checkpoint oracle samples 1-in-{state['every']} sets, "
-                f"this run samples 1-in-{self.every}; audit modes must match "
-                f"to resume"
-            )
-        self.observed = int(state["observed"])  # type: ignore[arg-type]
-        self._policies = copy.deepcopy(state["policies"])  # type: ignore[arg-type]
 
 
 def _preview(tags: list[int], limit: int = 4) -> str:

@@ -196,14 +196,14 @@ class SetAssociativeCache:
             self.access_chunk(chunk)
         return self.stats
 
-    # -- checkpointing ----------------------------------------------------
+    # -- directory dump ---------------------------------------------------
 
     def state_dict(self) -> dict[str, object]:
-        """Directory contents + counters for a checkpoint.
+        """The directory, for the occupancy audit and the kernel tests.
 
         LRU caches dump the kernel's dense numpy representation (two
-        contiguous arrays); other policies are small enough to travel as
-        the pickled policy object itself.
+        contiguous arrays); other policies travel as the policy object
+        itself.
         """
         policy = self._policy
         if isinstance(policy, FastLRUKernel):
@@ -213,35 +213,7 @@ class SetAssociativeCache:
             }
         else:
             policy_state = {"kind": "pickled", "policy": policy}
-        return {"stats": self.stats.snapshot(), "policy": policy_state}
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore directory + counters captured by :meth:`state_dict`."""
-        from repro.errors import CheckpointError
-
-        self.stats = state["stats"].snapshot()  # type: ignore[union-attr]
-        policy_state = state["policy"]
-        kind = policy_state["kind"]  # type: ignore[index]
-        if kind == "fastlru":
-            if not isinstance(self._policy, FastLRUKernel):
-                raise CheckpointError(
-                    f"checkpoint holds LRU directory state but this cache "
-                    f"runs policy {self.config.policy!r}"
-                )
-            self._policy.load_state(policy_state)  # type: ignore[arg-type]
-        else:
-            restored = policy_state["policy"]  # type: ignore[index]
-            if (
-                restored.num_sets != self.config.num_sets
-                or restored.associativity != self.config.associativity
-            ):
-                raise CheckpointError(
-                    "checkpoint policy geometry "
-                    f"({restored.num_sets}x{restored.associativity}) does not "
-                    f"match this cache "
-                    f"({self.config.num_sets}x{self.config.associativity})"
-                )
-            self._policy = restored
+        return {"policy": policy_state}
 
     # -- maintenance ------------------------------------------------------
 

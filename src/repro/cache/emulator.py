@@ -157,45 +157,6 @@ class AddressFilter:
         self.messages_seen = 0
         self.anomalies: dict[str, int] = {}  # recovered anomaly counts
 
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        """Full AF session state for a checkpoint."""
-        return {
-            "strict": self.strict,
-            "codec": self.codec.state_dict(),
-            "emulating": self.emulating,
-            "current_core": self.current_core,
-            "instructions_retired": self.instructions_retired,
-            "cycles_completed": self.cycles_completed,
-            "filtered_transactions": self.filtered_transactions,
-            "messages_seen": self.messages_seen,
-            "anomalies": dict(self.anomalies),
-        }
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore AF session state captured by :meth:`state_dict`.
-
-        Restoring ``emulating=True`` directly — rather than replaying a
-        START message — matters: a START resets the session counters,
-        which would erase exactly the progress being resumed.
-        """
-        from repro.errors import CheckpointError
-
-        if bool(state["strict"]) != self.strict:
-            raise CheckpointError(
-                f"checkpoint AF mode (strict={state['strict']}) does not "
-                f"match this filter (strict={self.strict})"
-            )
-        self.codec.load_state_dict(state["codec"])  # type: ignore[arg-type]
-        self.emulating = bool(state["emulating"])
-        self.current_core = int(state["current_core"])  # type: ignore[arg-type]
-        self.instructions_retired = int(state["instructions_retired"])  # type: ignore[arg-type]
-        self.cycles_completed = int(state["cycles_completed"])  # type: ignore[arg-type]
-        self.filtered_transactions = int(state["filtered_transactions"])  # type: ignore[arg-type]
-        self.messages_seen = int(state["messages_seen"])  # type: ignore[arg-type]
-        self.anomalies = dict(state["anomalies"])  # type: ignore[arg-type]
-
     def _anomaly(self, kind: str, description: str) -> bool:
         """Record one anomaly; in strict mode, raise instead.
 
@@ -553,46 +514,6 @@ class DragonheadEmulator:
     def oracle(self):
         """The attached differential-oracle tap, if any."""
         return self._oracle
-
-    # -- checkpointing ----------------------------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        """Full emulator state (AF + CC banks + CB sampler + oracle)."""
-        state: dict[str, object] = {
-            "config": self.config,
-            "af": self.af.state_dict(),
-            "banks": [bank.state_dict() for bank in self.banks],
-            "sampler": self.sampler.state_dict(),
-        }
-        if self._oracle is not None:
-            state["oracle"] = self._oracle.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore emulator state captured by :meth:`state_dict`."""
-        from repro.errors import CheckpointError
-
-        if state["config"] != self.config:
-            raise CheckpointError(
-                f"checkpoint emulator config {state['config']!r} does not "
-                f"match this emulator's {self.config!r}"
-            )
-        self.af.load_state_dict(state["af"])  # type: ignore[arg-type]
-        banks = state["banks"]
-        if len(banks) != len(self.banks):  # type: ignore[arg-type]
-            raise CheckpointError(
-                f"checkpoint has {len(banks)} CC banks, expected {len(self.banks)}"  # type: ignore[arg-type]
-            )
-        for bank, bank_state in zip(self.banks, banks):  # type: ignore[arg-type]
-            bank.load_state_dict(bank_state)
-        self.sampler.load_state_dict(state["sampler"])  # type: ignore[arg-type]
-        if self._oracle is not None:
-            if "oracle" not in state:
-                raise CheckpointError(
-                    "checkpoint was written without an audit oracle but this "
-                    "run audits; rerun without --audit or from scratch"
-                )
-            self._oracle.load_state_dict(state["oracle"])
 
     # -- control-board interface -----------------------------------------
 

@@ -270,7 +270,7 @@ class FastLRUKernel(ReplacementPolicy):
             hit_arr = full_hits
         return BatchResult(hits=hit_arr, evictions=evictions)
 
-    # -- checkpointing --------------------------------------------------
+    # -- directory dump -------------------------------------------------
 
     def resident_count(self) -> int:
         """Total lines currently resident across all sets."""
@@ -280,12 +280,11 @@ class FastLRUKernel(ReplacementPolicy):
         """Dense numpy dump of the full directory state.
 
         Two arrays: ``lengths[num_sets]`` (``int64``, resident lines per
-        set; never-touched sets recorded as ``-1`` so lazy allocation
-        survives a round trip) and ``tags`` (``uint64``, every resident
-        tag concatenated set by set, LRU→MRU within each set).  This is
-        the checkpoint representation: two contiguous buffers instead of
-        millions of pickled dict entries, and byte-stable for a given
-        logical state.
+        set; ``-1`` for a set never touched) and ``tags`` (``uint64``,
+        every resident tag concatenated set by set, LRU→MRU within each
+        set): two contiguous buffers, byte-stable for a given logical
+        state, so the occupancy audit and the batch-vs-scalar tests can
+        compare directories with array operations.
         """
         lengths = np.empty(self.num_sets, dtype=np.int64)
         chunks: list[list[int]] = []
@@ -305,31 +304,6 @@ class FastLRUKernel(ReplacementPolicy):
         else:
             tags = np.empty(0, dtype=np.uint64)
         return {"lengths": lengths, "tags": tags}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the directory from a :meth:`dump_state` dump."""
-        lengths = np.asarray(state["lengths"], dtype=np.int64)
-        tags = np.asarray(state["tags"], dtype=np.uint64)
-        if lengths.size != self.num_sets:
-            from repro.errors import CheckpointError
-
-            raise CheckpointError(
-                f"checkpoint directory has {lengths.size} sets, "
-                f"this kernel has {self.num_sets}"
-            )
-        sets: list[dict[int, None] | None] = [None] * self.num_sets
-        factory = self._set_factory
-        tag_list = tags.tolist()
-        offset = 0
-        for set_index, length in enumerate(lengths.tolist()):
-            if length < 0:
-                continue
-            ways = factory()
-            for tag in tag_list[offset : offset + length]:
-                ways[tag] = None
-            offset += length
-            sets[set_index] = ways
-        self._sets = sets
 
     # -- timestamp-matrix view -----------------------------------------
 

@@ -117,68 +117,6 @@ class WindowSampler:
         if self.on_sample is not None:
             self.on_sample(sample)
 
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        """Full sampler state for a checkpoint.
-
-        ``cycles_per_window`` and ``interpolate`` come from construction
-        and travel along only so :meth:`load_state_dict` can verify the
-        resuming run was configured identically — a sampler resumed at a
-        different window granularity would integrate to different finals
-        and break the bit-identical-resume contract.
-        """
-        return {
-            "cycles_per_window": self.cycles_per_window,
-            "window_cycles": self._window_cycles,
-            "interpolate": self.interpolate,
-            "interpolated_windows": self.interpolated_windows,
-            "samples": list(self.samples),
-            "last_stats": self._last_stats.snapshot(),
-            "last_instructions": self._last_instructions,
-            "last_cycles": self._last_cycles,
-            "window_index": self._window_index,
-            "next_boundary": self._next_boundary,
-        }
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore sampler state captured by :meth:`state_dict`."""
-        from repro.errors import CheckpointError
-
-        if state["cycles_per_window"] != self.cycles_per_window:
-            raise CheckpointError(
-                "checkpoint sampler window "
-                f"({state['cycles_per_window']} cycles) does not match this "
-                f"sampler's ({self.cycles_per_window} cycles)"
-            )
-        if bool(state["interpolate"]) != self.interpolate:
-            raise CheckpointError(
-                "checkpoint sampler interpolate mode "
-                f"({state['interpolate']}) does not match this sampler's "
-                f"({self.interpolate})"
-            )
-        if float(state.get("window_cycles", self._window_cycles)) != self._window_cycles:
-            raise CheckpointError(
-                "checkpoint sampler window width "
-                f"({state['window_cycles']} cycles) does not match this "
-                f"sampler's ({self._window_cycles} cycles)"
-            )
-        self.interpolated_windows = int(state["interpolated_windows"])  # type: ignore[arg-type]
-        self.samples = list(state["samples"])  # type: ignore[arg-type]
-        self._last_stats = state["last_stats"].snapshot()  # type: ignore[union-attr]
-        self._last_instructions = int(state["last_instructions"])  # type: ignore[arg-type]
-        self._last_cycles = int(state["last_cycles"])  # type: ignore[arg-type]
-        self._next_boundary = int(state["next_boundary"])  # type: ignore[arg-type]
-        self._window_index = int(
-            state.get("window_index", len(self.samples))  # type: ignore[arg-type]
-        )
-        if "window_index" not in state:
-            # Pre-window-index checkpoint: recover the boundary index
-            # from the boundary itself (exact for integral widths).
-            self._window_index = max(
-                0, round(self._next_boundary / self._window_cycles) - 1
-            )
-
     def advance(self, cycles_completed: int, instructions_retired: int, stats: CacheStats) -> None:
         """Report progress of the emulated clock.
 
@@ -263,9 +201,7 @@ class WindowSampler:
         Only valid in non-interpolate (strict) mode.  After a series
         the snapshot carried in ``_last_stats`` holds only the counters
         window samples read (accesses, hits, misses) — :meth:`finalize`
-        and further :meth:`advance` calls observe identical deltas, but
-        checkpoints should not be cut between a batched series and the
-        end of its run.
+        and further :meth:`advance` calls observe identical deltas.
         """
         if self.interpolate:
             from repro.errors import ConfigurationError

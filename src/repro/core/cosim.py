@@ -14,8 +14,6 @@ synchronized the way the real platform computes MPKI.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
 
 from repro.audit import AUDIT_FULL, AUDIT_OFF, OracleTap, resolve_audit_mode, run_audit
@@ -29,11 +27,10 @@ from repro.cache.emulator import (
     PerformanceData,
 )
 from repro.cache.stats import CacheStats
-from repro.checkpoint import DeferredInterrupt, read_snapshot, write_snapshot
 from repro.core.fsb import FrontSideBus
 from repro.cache.sampling import WindowSample
 from repro.core.softsdv import GuestWorkload, SoftSDV
-from repro.errors import AuditError, CheckpointError
+from repro.errors import AuditError
 from repro.faults.report import DegradationRecord, collect_run_degradation, merge_records
 from repro.faults.spec import FaultSpec
 from repro.telemetry import runtime as telemetry
@@ -75,6 +72,75 @@ class CoSimResult:
         return bool(self.degradation)
 
 
+def attach_audit_oracle(emulator: DragonheadEmulator, mode: str) -> None:
+    """Hook the differential LRU oracle for the chosen audit mode.
+
+    Non-LRU replacement policies have no generic-LRU reference, so
+    they run the audit without the oracle check.
+    """
+    if mode == AUDIT_OFF or emulator.config.policy.lower() != "lru":
+        return
+    bank_config = emulator.config.bank_config(0)
+    emulator.attach_oracle(
+        OracleTap(
+            num_sets=bank_config.num_sets,
+            associativity=bank_config.associativity,
+            num_banks=NUM_BANKS,
+            bank_shift=BANK_SHIFT,
+            every=1 if mode == AUDIT_FULL else SAMPLE_EVERY,
+        )
+    )
+
+
+def finish_run(
+    emulator: DragonheadEmulator,
+    injector,
+    *,
+    workload: str,
+    cores: int,
+    instructions: int,
+    cycles: int,
+    audit_mode: str,
+) -> CoSimResult:
+    """Close a run, however the emulator was driven: the host readout.
+
+    Flushes the fault injector (a delayed message still arrives, merely
+    late), reads the CB's performance data, collects degradation and
+    runs the end-of-run audit against the simulator-side counters.
+    Violations raise :class:`AuditError` from a strict emulator and
+    become ``audit``-source degradation records from a lenient one.
+    """
+    if injector is not None:
+        injector.flush()
+    performance = emulator.read_performance_data()
+    degradation = collect_run_degradation(injector, performance)
+    audit_report: AuditReport | None = None
+    if audit_mode != AUDIT_OFF:
+        audit_report = run_audit(
+            emulator,
+            performance,
+            mode=audit_mode,
+            expected_instructions=instructions,
+            expected_cycles=cycles,
+        )
+        if not audit_report.ok:
+            if emulator.strict:
+                raise AuditError(audit_report)
+            degradation = merge_records(
+                degradation, audit_report.degradation_records()
+            )
+    return CoSimResult(
+        workload=workload,
+        cores=cores,
+        performance=performance,
+        instructions=instructions,
+        accesses=performance.stats.accesses,
+        filtered=performance.filtered_transactions,
+        degradation=degradation,
+        audit=audit_report,
+    )
+
+
 class CoSimPlatform:
     """A complete co-simulation platform instance.
 
@@ -114,61 +180,12 @@ class CoSimPlatform:
             self.bus, quantum=quantum, boot_noise_accesses=boot_noise_accesses
         )
 
-    def _identity(self, workload: GuestWorkload, cores: int, audit_mode: str) -> dict:
-        """What a checkpoint of this run must match to be resumable."""
-        return {
-            "workload": workload.name,
-            "cores": cores,
-            "config": repr(self.emulator.config),
-            "quantum": self.quantum,
-            "boot_noise": self.softsdv.boot_noise_accesses,
-            "strict": self.strict,
-            "audit": audit_mode,
-        }
-
-    def _attach_audit_oracle(self, mode: str) -> None:
-        """Hook the differential LRU oracle for the chosen audit mode.
-
-        Non-LRU replacement policies have no generic-LRU reference, so
-        they run the audit without the oracle check.
-        """
-        if mode == AUDIT_OFF or self.emulator.config.policy.lower() != "lru":
-            return
-        bank_config = self.emulator.config.bank_config(0)
-        self.emulator.attach_oracle(
-            OracleTap(
-                num_sets=bank_config.num_sets,
-                associativity=bank_config.associativity,
-                num_banks=NUM_BANKS,
-                bank_shift=BANK_SHIFT,
-                every=1 if mode == AUDIT_FULL else SAMPLE_EVERY,
-            )
-        )
-
     def run(
-        self,
-        workload: GuestWorkload,
-        cores: int,
-        *,
-        checkpoint_every: int | None = None,
-        checkpoint_path: str | None = None,
-        resume_from: str | None = None,
-        audit: str | None = None,
+        self, workload: GuestWorkload, cores: int, *, audit: str | None = None
     ) -> CoSimResult:
         """Run ``workload`` to completion on ``cores`` virtual cores.
 
         Args:
-            checkpoint_every: snapshot the full platform state every N
-                issued guest transactions (at the next DEX round
-                boundary).  Requires ``checkpoint_path``.
-            checkpoint_path: where snapshots go (atomic write-rename;
-                removed once the run completes).  Defaults to
-                ``resume_from`` when only that is given.
-            resume_from: resume from this snapshot if it exists; the
-                resumed run is bit-identical to an uninterrupted one.
-                A missing file starts from scratch (first attempt of a
-                supervised point); a damaged or mismatched one raises
-                :class:`CheckpointError`.
             audit: ``"off"``/``"sample"``/``"full"`` end-of-run
                 invariant audit; None reads ``$REPRO_AUDIT``.
                 Violations raise :class:`AuditError` in strict mode and
@@ -176,94 +193,17 @@ class CoSimPlatform:
                 mode.
         """
         audit_mode = resolve_audit_mode(audit)
-        self._attach_audit_oracle(audit_mode)
-        if checkpoint_path is None:
-            checkpoint_path = resume_from
-        checkpointing = checkpoint_every is not None and checkpoint_path is not None
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise CheckpointError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        if checkpointing and self.injector is not None:
-            raise CheckpointError(
-                "checkpointing is not supported with bus fault injection: the "
-                "injector's decision stream is positional and would diverge "
-                "on resume"
-            )
-        identity = self._identity(workload, cores, audit_mode)
-        scheduler = self.softsdv.prepare_workload(workload, cores)
-        if resume_from is not None and os.path.exists(resume_from):
-            state = read_snapshot(resume_from, expect_identity=identity)
-            scheduler.restore(state["scheduler"])
-            self.emulator.load_state_dict(state["emulator"])
-        if checkpointing:
-            guard: DeferredInterrupt | contextlib.AbstractContextManager = (
-                DeferredInterrupt()
-            )
-        else:
-            guard = contextlib.nullcontext()
-        with guard as interrupt, telemetry.span("cosim"):
-            if checkpointing:
-                last_snapshot = scheduler.transactions_issued
-
-                def on_round(sched) -> None:
-                    nonlocal last_snapshot
-                    due = (
-                        sched.transactions_issued - last_snapshot
-                        >= checkpoint_every
-                    )
-                    if due or interrupt.pending:
-                        write_snapshot(
-                            checkpoint_path,
-                            {
-                                "scheduler": sched.state_dict(),
-                                "emulator": self.emulator.state_dict(),
-                            },
-                            identity,
-                        )
-                        last_snapshot = sched.transactions_issued
-                    # A held Ctrl-C is delivered only after the drain
-                    # snapshot above has landed.
-                    interrupt.deliver()
-
-                scheduler.run(on_round=on_round)
-            else:
-                scheduler.run()
-        if self.injector is not None:
-            self.injector.flush()
-        performance = self.emulator.read_performance_data()
-        degradation = collect_run_degradation(self.injector, performance)
-        audit_report: AuditReport | None = None
-        if audit_mode != AUDIT_OFF:
-            audit_report = run_audit(
-                self.emulator,
-                performance,
-                mode=audit_mode,
-                expected_instructions=scheduler.instructions_retired,
-                expected_cycles=scheduler.cycles_completed,
-            )
-            if not audit_report.ok:
-                if self.strict:
-                    raise AuditError(audit_report)
-                degradation = merge_records(
-                    degradation, audit_report.degradation_records()
-                )
-        if checkpointing:
-            # The run completed; a leftover snapshot would only invite a
-            # stale resume of a finished point.
-            try:
-                os.unlink(checkpoint_path)
-            except OSError:
-                pass
-        return CoSimResult(
+        attach_audit_oracle(self.emulator, audit_mode)
+        with telemetry.span("cosim"):
+            scheduler = self.softsdv.run_workload(workload, cores)
+        return finish_run(
+            self.emulator,
+            self.injector,
             workload=workload.name,
             cores=cores,
-            performance=performance,
             instructions=scheduler.instructions_retired,
-            accesses=performance.stats.accesses,
-            filtered=performance.filtered_transactions,
-            degradation=degradation,
-            audit=audit_report,
+            cycles=scheduler.cycles_completed,
+            audit_mode=audit_mode,
         )
 
 

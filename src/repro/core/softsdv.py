@@ -84,12 +84,11 @@ class SoftSDV:
         """Model BIOS + OS boot: pre-window bus traffic only."""
         self.booted = True
 
-    def prepare_workload(self, workload: GuestWorkload, cores: int) -> DEXScheduler:
-        """Build the scheduler for ``workload`` without running it.
+    def run_workload(self, workload: GuestWorkload, cores: int) -> DEXScheduler:
+        """Launch ``workload`` with one guest thread per virtual core.
 
-        Checkpoint-resume needs the built-but-unstarted scheduler so a
-        snapshot can be restored into it before any bus traffic is
-        issued; :meth:`run_workload` remains the one-call path.
+        Returns the scheduler after it has run to completion; its
+        counters give the simulated-time denominators.
         """
         if not self.booted:
             self.boot()
@@ -120,14 +119,5 @@ class SoftSDV:
             os_noise_accesses=self.boot_noise_accesses,
         )
         self._last_scheduler = scheduler
-        return scheduler
-
-    def run_workload(self, workload: GuestWorkload, cores: int) -> DEXScheduler:
-        """Launch ``workload`` with one guest thread per virtual core.
-
-        Returns the scheduler after it has run to completion; its
-        counters give the simulated-time denominators.
-        """
-        scheduler = self.prepare_workload(workload, cores)
         scheduler.run()
         return scheduler

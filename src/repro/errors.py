@@ -149,19 +149,6 @@ class FabricError(ReproError):
     """
 
 
-class CheckpointError(ReproError):
-    """A co-simulation checkpoint could not be written, read, or applied.
-
-    Raised when a snapshot file is damaged (bad magic, version, or CRC),
-    or when a checkpoint is resumed against a platform whose identity
-    (workload, core count, cache configuration, replay-log fingerprint)
-    does not match the one that wrote it.  Resuming a mismatched
-    snapshot would silently blend two different experiments, which is
-    exactly the class of corruption the audit layer exists to catch —
-    so the mismatch is an error, never a best-effort merge.
-    """
-
-
 class AuditError(ReproError):
     """A completed run failed its end-of-run consistency audit.
 
@@ -208,9 +195,9 @@ class SamplingError(ReproError):
 
     Raised by :mod:`repro.simpoint` for an unparseable ``--sample``
     spec, a non-positive interval, or a sampling request that conflicts
-    with per-message semantics (fault injection, lenient resync,
-    checkpointing) — the sampled path replays representatives through
-    the batched strict pipeline only.
+    with per-message semantics (fault injection, lenient resync) — the
+    sampled path replays representatives through the batched strict
+    pipeline only.
     """
 
 

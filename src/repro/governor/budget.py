@@ -3,16 +3,15 @@
 A long run dies three ways the fault framework never modelled: the
 disk under the trace cache fills (ENOSPC mid-store), the process heap
 outgrows the machine (the OOM killer is not a recoverable fault), or
-the operator's time runs out with nothing checkpointed.  This module
+the operator's time runs out with nothing saved.  This module
 makes all three *budgets* — explicit, operator-set ceilings — and
 gives the rest of the codebase one ambient object to ask "am I still
 inside them?".
 
 Three budget axes, one :class:`ResourceBudget`:
 
-* ``disk_quota`` — bytes the trace cache (plus the checkpoint
-  directory it shares a volume with) may occupy.  Enforced by the
-  LRU eviction GC in :mod:`repro.governor.gc`.
+* ``disk_quota`` — bytes the trace cache may occupy.  Enforced by
+  the LRU eviction GC in :mod:`repro.governor.gc`.
 * ``mem_budget`` — a high-water mark on the process's ``maxrss``.
   Breaching it does not kill anything; it *degrades*: new supervised
   maps clamp to serial execution (worker processes are the multiplier
@@ -63,7 +62,7 @@ class ResourceBudget:
     """Operator-set ceilings for one run; None disables an axis.
 
     Attributes:
-        disk_quota: bytes the trace cache + checkpoint dir may occupy.
+        disk_quota: bytes the trace cache may occupy.
         mem_budget: maxrss high-water mark in bytes.
         deadline_s: run wall-clock budget in seconds, measured from
             :func:`govern` entry.

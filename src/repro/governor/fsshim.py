@@ -47,7 +47,6 @@ KNOWN_SITES = frozenset(
         "ledger.append",
         "telemetry.emit",
         "telemetry.prometheus",
-        "checkpoint.write",
     }
 )
 

@@ -19,9 +19,8 @@ missing half of the cache's lifecycle:
   need no pin: eviction renames the entry directory aside and *then*
   unlinks it, and POSIX keeps established mappings alive after unlink.
 * **Crash-debris collection** — age-thresholded removal of quarantined
-  ``.corrupt`` entries, orphaned ``.tmp-*``/``.evict-*`` staging
-  directories, and stale ``*.ckpt`` files in the checkpoint directory,
-  all counted in :class:`~repro.trace.cache.TraceCacheStats`.
+  ``.corrupt`` entries and orphaned ``.tmp-*``/``.evict-*`` staging
+  directories, all counted in :class:`~repro.trace.cache.TraceCacheStats`.
 
 Eviction is concurrency-safe by construction: the only mutating step
 is one atomic ``os.rename`` per entry, so two processes enforcing the
@@ -47,9 +46,9 @@ from repro.trace.cache import (
     pinned_keys,
 )
 
-#: Default age (seconds) a quarantined entry, orphaned staging dir, or
-#: leftover checkpoint must reach before the debris collector removes
-#: it — old enough that no live run still owns it.
+#: Default age (seconds) a quarantined entry or orphaned staging dir
+#: must reach before the debris collector removes it — old enough that
+#: no live run still owns it.
 DEFAULT_GC_AGE_S = 7 * 24 * 3600.0
 
 #: Environment override for that age, so CI (and impatient operators)
@@ -143,22 +142,16 @@ def debris_bytes(cache: TraceCache) -> int:
     return total
 
 
-def cache_usage(
-    cache: TraceCache, checkpoint_dir: str | os.PathLike | None = None
-) -> tuple[list[EntryInfo], int]:
+def cache_usage(cache: TraceCache) -> tuple[list[EntryInfo], int]:
     """``(entries, total_bytes)`` for the governed footprint.
 
-    The footprint is the trace cache (entries + debris) plus the
-    checkpoint directory when one is in use — the two disk consumers a
-    budgeted run owns.  Publishes the ``repro_trace_cache_bytes`` and
-    ``repro_trace_cache_entries`` gauges as a side effect (free: the
-    walk already happened).
+    The footprint is the trace cache, entries plus debris.  Publishes
+    the ``repro_trace_cache_bytes`` and ``repro_trace_cache_entries``
+    gauges as a side effect (free: the walk already happened).
     """
     entries = scan_entries(cache)
     entry_bytes = sum(info.bytes for info in entries)
     total = entry_bytes + debris_bytes(cache)
-    if checkpoint_dir is not None and os.path.isdir(checkpoint_dir):
-        total += _tree_bytes(Path(checkpoint_dir))
     telemetry.gauge("repro_trace_cache_bytes").set(float(entry_bytes))
     telemetry.gauge("repro_trace_cache_entries").set(float(len(entries)))
     return entries, total
@@ -187,7 +180,6 @@ def evict_entry(cache: TraceCache, info: EntryInfo) -> int:
 def enforce_quota(
     cache: TraceCache,
     quota_bytes: int,
-    checkpoint_dir: str | os.PathLike | None = None,
     protect: frozenset[str] | set[str] = frozenset(),
 ) -> int:
     """Evict LRU entries until the governed footprint fits the quota.
@@ -198,7 +190,7 @@ def enforce_quota(
     gone and usage still exceeds the quota, the overage stands — the
     caller's ENOSPC handling (or the operator) owns that endgame.
     """
-    entries, total = cache_usage(cache, checkpoint_dir)
+    entries, total = cache_usage(cache)
     if total <= quota_bytes:
         return 0
     pinned = pinned_keys(cache.root)
@@ -222,7 +214,7 @@ def enforce_quota(
     if evicted:
         # Re-publish the gauges from a fresh scan so they track
         # reality, not an arithmetic estimate.
-        cache_usage(cache, checkpoint_dir)
+        cache_usage(cache)
     return evicted
 
 
@@ -247,24 +239,21 @@ def evict_for_enospc(
 def collect_garbage(
     cache: TraceCache,
     max_age_s: float | None = None,
-    checkpoint_dir: str | os.PathLike | None = None,
     now: float | None = None,
 ) -> dict[str, int]:
     """Remove aged crash debris; returns ``{category: count}``.
 
-    Three categories, all age-thresholded (a *young* ``.corrupt`` entry
+    Two categories, both age-thresholded (a *young* ``.corrupt`` entry
     is evidence someone may still want; a young ``.tmp-*`` may belong
-    to a live writer; a young ``.ckpt`` may belong to a live point):
+    to a live writer):
 
     * ``gc_quarantined`` — ``<entry>.corrupt`` quarantine directories;
     * ``gc_orphans`` — root-level ``.tmp-*`` staging and ``.evict-*``
-      trash directories a crashed process never cleaned up;
-    * ``gc_checkpoints`` — ``*.ckpt`` files in the checkpoint
-      directory left by runs that never completed their points.
+      trash directories a crashed process never cleaned up.
     """
     age = gc_age_s() if max_age_s is None else max_age_s
     cutoff = (time.time() if now is None else now) - age
-    removed = {"gc_quarantined": 0, "gc_orphans": 0, "gc_checkpoints": 0}
+    removed = {"gc_quarantined": 0, "gc_orphans": 0}
 
     def _aged(path: str) -> bool:
         try:
@@ -289,13 +278,4 @@ def collect_garbage(
                     shutil.rmtree(child.path, ignore_errors=True)
                     cache.stats.count("gc_quarantined")
                     removed["gc_quarantined"] += 1
-    if checkpoint_dir is not None and os.path.isdir(checkpoint_dir):
-        for entry in _subdirs(Path(checkpoint_dir)):
-            if entry.is_file() and entry.name.endswith(".ckpt") and _aged(entry.path):
-                try:
-                    os.unlink(entry.path)
-                except OSError:
-                    continue
-                cache.stats.count("gc_checkpoints")
-                removed["gc_checkpoints"] += 1
     return removed

@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="FILE",
         default=None,
-        help="checkpoint completed sweep points to FILE (JSONL)",
+        help="record completed sweep points to FILE (JSONL)",
     )
     parser.add_argument(
         "--audit",
@@ -238,7 +238,8 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock budget for sweep and replay-pass "
-        "workers (needs --jobs > 1 to be enforceable)",
+        "workers (needs --jobs > 1 to be enforceable; refused with "
+        "--executor shard)",
     )
     parser.add_argument(
         "--retries",
@@ -259,9 +260,9 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--disk-quota",
         metavar="SIZE",
         default=None,
-        help="bytes the trace cache (plus any checkpoint directory) may "
-        "occupy, e.g. 512MB; over quota the least-recently-used cached "
-        "traces are evicted (they regenerate on demand)",
+        help="bytes the trace cache may occupy, e.g. 512MB; over quota "
+        "the least-recently-used cached traces are evicted (they "
+        "regenerate on demand)",
     )
     parser.add_argument(
         "--mem-budget",
@@ -343,14 +344,21 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "sweep drained by Ctrl-C or --deadline keeps its completed "
         "points there, and --resume finishes it byte-identically",
     )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="snapshot each sweep point's mid-run state under DIR so a "
-        "killed or timed-out point resumes where it stopped "
-        "(bit-identical to an uninterrupted run)",
-    )
+
+
+def parse_sweep_args(
+    parser: argparse.ArgumentParser, argv: list[str] | None
+) -> argparse.Namespace:
+    """Parse a sweep CLI's flags, refusing what no executor honours.
+
+    Shard workers renew a running point's lease for as long as it
+    runs, so a per-point ``--timeout`` has nothing to enforce it on the
+    fabric: the combination is a usage error, before any work starts.
+    """
+    args = parser.parse_args(argv)
+    if args.timeout is not None and args.executor == "shard":
+        parser.error("--timeout cannot be combined with --executor shard")
+    return args
 
 
 def telemetry_requested(args: argparse.Namespace) -> bool:
@@ -371,10 +379,10 @@ def open_trace_cache(args: argparse.Namespace) -> TraceCache | None:
     """The run's trace cache (``--trace-cache``, ``--disk-quota``).
 
     Opening it does the run-start housekeeping: aged crash debris
-    (quarantined ``.corrupt`` entries, orphaned staging directories,
-    stale checkpoints — threshold ``$REPRO_GC_AGE_S``, default a week)
-    is collected and, when a quota is set, the cache is evicted down to
-    it before the run adds new entries.
+    (quarantined ``.corrupt`` entries and orphaned staging directories
+    — threshold ``$REPRO_GC_AGE_S``, default a week) is collected and,
+    when a quota is set, the cache is evicted down to it before the run
+    adds new entries.
     """
     trace_cache = resolve_trace_cache(
         args.trace_cache,
@@ -384,13 +392,9 @@ def open_trace_cache(args: argparse.Namespace) -> TraceCache | None:
         return None
     from repro.governor import gc as governor_gc
 
-    # The daemon has no checkpoint directory.
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    governor_gc.collect_garbage(trace_cache, checkpoint_dir=checkpoint_dir)
+    governor_gc.collect_garbage(trace_cache)
     if trace_cache.disk_quota is not None:
-        governor_gc.enforce_quota(
-            trace_cache, trace_cache.disk_quota, checkpoint_dir=checkpoint_dir
-        )
+        governor_gc.enforce_quota(trace_cache, trace_cache.disk_quota)
     return trace_cache
 
 
@@ -415,7 +419,6 @@ def sweep_session(
         SupervisorPolicy(timeout=args.timeout, retries=args.retries),
         journal=journal,
         fault_spec=fault_spec,
-        checkpoint_dir=args.checkpoint_dir,
         fabric=build_fabric_config(args),
     )
 
@@ -490,7 +493,7 @@ def _emit_telemetry(args: argparse.Namespace, results) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one co-simulation (or a cache-size sweep) and print its readout."""
-    return run_cli(_main, build_parser().parse_args(argv))
+    return run_cli(_main, parse_sweep_args(build_parser(), argv))
 
 
 def _resolve_spec(args: argparse.Namespace) -> JobSpec:
@@ -578,13 +581,12 @@ def _main(args: argparse.Namespace) -> int:
 
 
 #: Flags the sampled path cannot honour: fault injection, lenient
-#: resynchronization, auditing, checkpointing, journaling, and phase
-#: analysis all assume the full stream goes through the emulator.
+#: resynchronization, auditing, journaling, and phase analysis all
+#: assume the full stream goes through the emulator.
 _SAMPLE_CONFLICTS = (
     ("--inject", "inject"),
     ("--lenient", "lenient"),
     ("--audit", "audit"),
-    ("--checkpoint-dir", "checkpoint_dir"),
     ("--journal", "journal"),
     ("--resume", "resume"),
     ("--phases", "phases"),

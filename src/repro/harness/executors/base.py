@@ -28,8 +28,7 @@ class SubmittedPoint:
     pickled item — see :func:`~repro.harness.supervisor.point_key`); it
     is what makes re-execution idempotent across workers and runs.
     ``fault``/``hang_seconds`` carry a planned harness fault for this
-    attempt, ``checkpoint_path`` a mid-point snapshot location for
-    tasks that advertise ``supports_checkpoint``.
+    attempt.
     """
 
     index: int
@@ -38,7 +37,6 @@ class SubmittedPoint:
     key: str | None = None
     fault: str | None = None
     hang_seconds: float = 0.0
-    checkpoint_path: str | None = None
 
 
 @dataclass(frozen=True)

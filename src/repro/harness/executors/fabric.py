@@ -11,10 +11,13 @@ respawning dead worker processes toward the target shard count,
 exporting per-shard telemetry, and converting terminal records into
 the supervisor's degrade-or-raise policy.
 
-Per-point wall-clock budgets are enforced by the lease TTL rather
-than :attr:`SupervisorPolicy.timeout`: a point that stops heartbeating
-— hung, or its worker killed — is stolen after ``lease_ttl`` seconds,
-which is the distributed analog of the pool's reap-and-respawn.
+The fabric enforces no per-point wall-clock budget.  A worker renews
+its lease from a heartbeat thread for as long as the point runs, so a
+point that hangs inside a live worker keeps its lease.  Only a worker
+that stops heartbeating — killed, or stalled before the point starts —
+loses the point, which another worker steals after ``lease_ttl``
+seconds.  :func:`~repro.harness.supervisor.supervise` therefore
+refuses :attr:`SupervisorPolicy.timeout` together with a fabric.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ def run_fabric(
     work: list,
     pending: list[int],
     keys: list[str],
-    ckpt_paths: list,
     results: list,
     context,
 ) -> None:
@@ -79,13 +81,7 @@ def run_fabric(
         for i in pending:
             index_by_key[keys[i]] = i
             backend.submit(
-                SubmittedPoint(
-                    index=i,
-                    task=task,
-                    item=work[i],
-                    key=keys[i],
-                    checkpoint_path=ckpt_paths[i],
-                )
+                SubmittedPoint(index=i, task=task, item=work[i], key=keys[i])
             )
         backend.start()
 

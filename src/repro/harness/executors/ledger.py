@@ -110,7 +110,6 @@ class PointState:
 
     key: str
     payload: str | None = None
-    checkpoint: str | None = None
     done: dict | None = None
     failed: list[dict] = field(default_factory=list)
     quarantined: dict | None = None
@@ -202,7 +201,6 @@ class LedgerState:
             # latest payload wins (a resumed sweep may read its log from
             # a new place) and attempts, leases and quarantine restart.
             ps.payload = row.get("payload")
-            ps.checkpoint = row.get("checkpoint")
             ps.failed = []
             ps.quarantined = None
             ps.lease_worker = None
@@ -246,7 +244,6 @@ class Claim:
     key: str
     payload: str
     attempt: int  # 1-based attempt number this execution is
-    checkpoint: str | None
     steal: bool
     expires: float
 
@@ -446,42 +443,36 @@ class FabricLedger:
         row.update({"schema": LEDGER_FORMAT, "type": "config"})
         self.append(row)
 
-    def manifest(self, points: list[tuple[str, Any, str | None]]) -> int:
+    def manifest(self, points: list[tuple[str, Any]]) -> int:
         """Append ``point`` records for keys that still need to run.
 
-        ``points`` is ``(key, (task, item), checkpoint_path)``; returns
-        how many records were appended.  A key with a ``done`` record is
-        skipped, and so is one whose latest record already carries this
-        payload and checkpoint and that nothing has touched since, so
-        re-manifesting an unchanged sweep appends nothing.  Any other
-        key gets a fresh record, which a resumed sweep needs: a spilled
-        log lives in a new temporary directory on every run, and a
-        point that was claimed, failed or quarantined before the
-        interruption must start over.
+        ``points`` is ``(key, (task, item))``; returns how many records
+        were appended.  A key with a ``done`` record is skipped, and so
+        is one whose latest record already carries this payload and
+        that nothing has touched since, so re-manifesting an unchanged
+        sweep appends nothing.  Any other key gets a fresh record,
+        which a resumed sweep needs: a spilled log lives in a new
+        temporary directory on every run, and a point that was claimed,
+        failed or quarantined before the interruption must start over.
         """
         with self._locked():
             self.scan()
             rows = []
-            for key, payload, checkpoint in points:
+            for key, payload in points:
                 ps = self.state.points.get(key)
                 if ps is not None and ps.done is not None:
                     continue
                 encoded, _ = _encode(payload)
-                if (
-                    ps is not None
-                    and ps.untouched()
-                    and (ps.payload, ps.checkpoint) == (encoded, checkpoint)
-                ):
+                if ps is not None and ps.untouched() and ps.payload == encoded:
                     continue
-                row = {
-                    "schema": LEDGER_FORMAT,
-                    "type": "point",
-                    "key": key,
-                    "payload": encoded,
-                }
-                if checkpoint is not None:
-                    row["checkpoint"] = checkpoint
-                rows.append(row)
+                rows.append(
+                    {
+                        "schema": LEDGER_FORMAT,
+                        "type": "point",
+                        "key": key,
+                        "payload": encoded,
+                    }
+                )
             if rows:
                 self._append_locked(rows)
         return len(rows)
@@ -541,7 +532,6 @@ class FabricLedger:
                     key=ps.key,
                     payload=ps.payload,
                     attempt=ps.attempts() + 1,
-                    checkpoint=ps.checkpoint,
                     steal=steal,
                     expires=expires,
                 )

@@ -81,7 +81,6 @@ class LocalPoolExecutor:
             point.item,
             point.fault,
             point.hang_seconds,
-            point.checkpoint_path,
         )
         try:
             future = self._pool.submit(*args)

@@ -66,9 +66,7 @@ class ShardExecutor:
         self._started = False
 
     def submit(self, point: SubmittedPoint) -> str:
-        self.ledger.manifest(
-            [(point.key, (point.task, point.item), point.checkpoint_path)]
-        )
+        self.ledger.manifest([(point.key, (point.task, point.item))])
         return point.key
 
     def start(self) -> None:

@@ -101,10 +101,7 @@ def _execute(
     begin = time.perf_counter()
     try:
         with heartbeat:
-            if claim.checkpoint is not None:
-                value = task(item, checkpoint_path=claim.checkpoint)
-            else:
-                value = task(item)
+            value = task(item)
     except Exception as error:
         backoff = min(
             float(config.get("backoff_cap", 8.0)),

@@ -32,29 +32,18 @@ pickled per task.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.audit import AUDIT_FULL, AUDIT_OFF, OracleTap, resolve_audit_mode, run_audit
-from repro.audit.oracle import SAMPLE_EVERY
-from repro.cache.emulator import (
-    BANK_SHIFT,
-    NUM_BANKS,
-    AddressFilter,
-    DragonheadConfig,
-    DragonheadEmulator,
-)
-from repro.checkpoint import DeferredInterrupt, read_snapshot, write_snapshot
-from repro.core.cosim import CoSimResult
+from repro.audit import resolve_audit_mode
+from repro.cache.emulator import AddressFilter, DragonheadConfig, DragonheadEmulator
+from repro.core.cosim import CoSimResult, attach_audit_oracle, finish_run
 from repro.core.fsb import FrontSideBus, FSBTransaction
 from repro.core.softsdv import GuestWorkload, SoftSDV
-from repro.errors import AuditError, CheckpointError, TraceError
-from repro.faults.report import collect_run_degradation, merge_records
+from repro.errors import TraceError
 from repro.faults.spec import FaultSpec
 from repro.telemetry import runtime as telemetry
 from repro.protocol import Message, MessageCodec, MessageKind
@@ -68,20 +57,6 @@ EVENT_PROGRESS = 1  #: (EVENT_PROGRESS, instructions, cycles): counters
 
 #: Array names used when a log is stored in a :class:`TraceCache`.
 _ARRAY_NAMES = ("addresses", "kinds", "pcs", "events")
-
-#: Snapshot interval (replayed data transactions) used when a supervised
-#: sweep hands a worker a checkpoint path without an explicit interval.
-DEFAULT_CHECKPOINT_EVERY = 1 << 20
-
-#: Environment override for that interval — lets CI (and impatient
-#: operators) force frequent snapshots on short runs without a per-task
-#: parameter.
-CHECKPOINT_EVERY_ENV = "REPRO_CHECKPOINT_EVERY"
-
-
-def _checkpoint_interval() -> int:
-    value = os.environ.get(CHECKPOINT_EVERY_ENV)
-    return int(value) if value else DEFAULT_CHECKPOINT_EVERY
 
 
 @dataclass(frozen=True)
@@ -339,7 +314,7 @@ def _issue_message(port, message: Message) -> None:
         port.snoop(FSBTransaction(address=address, kind=AccessKind.WRITE))
 
 
-def replay_into(log: ReplayLog, port, on_event=None, resume=None) -> None:
+def replay_into(log: ReplayLog, port) -> None:
     """Drive a snoop port with a captured log, through its public face.
 
     ``port`` is anything with the BusSnooper interface — usually a
@@ -349,32 +324,17 @@ def replay_into(log: ReplayLog, port, on_event=None, resume=None) -> None:
     counter monotonicity guards, and window sampling behave exactly as
     on a live bus.
 
-    Args:
-        on_event: called after each event row with the replay position
-            ``{"event_index", "start", "current_core"}`` — every event
-            boundary is a consistent checkpoint point, since all state
-            transitions live in the snooped emulator.
-        resume: a position dict from a checkpoint.  The session opener
-            (filtered-counter restore + START message) is skipped — the
-            AF state it would have produced is restored separately —
-            and replay continues from the recorded event.
-
-    A bare strict :class:`DragonheadEmulator` with no event observer and
-    no resume point takes the batched fast path: the whole session runs
-    as one :meth:`~DragonheadEmulator.emulate_stream` call (vectorized
-    bank routing, one batch probe per bank, window aggregation by
+    A bare strict :class:`DragonheadEmulator` takes the batched fast
+    path: the whole session runs as one
+    :meth:`~DragonheadEmulator.emulate_stream` call (vectorized bank
+    routing, one batch probe per bank, window aggregation by
     ``searchsorted``), which is bit-identical to the per-event loop —
     the differential suite in ``tests/test_harness_replay.py`` holds
     the two paths equal field for field.  Wrapped ports (fault
-    injectors), lenient emulators, observers, and resumed runs keep the
+    injectors, pass-through snoopers) and lenient emulators keep the
     per-event loop: their semantics depend on seeing each message.
     """
-    if (
-        on_event is None
-        and resume is None
-        and isinstance(port, DragonheadEmulator)
-        and port.strict
-    ):
+    if isinstance(port, DragonheadEmulator) and port.strict:
         port.emulate_stream(
             log.to_chunk(), log.progress_table(), filtered=log.filtered
         )
@@ -382,25 +342,18 @@ def replay_into(log: ReplayLog, port, on_event=None, resume=None) -> None:
     addresses = log.addresses
     kinds = log.kinds
     pcs = log.pcs
-    if resume is None:
-        # Out-of-window traffic never reaches the banks; only its count
-        # is architecturally visible, so restore the counter instead of
-        # replaying thousands of discarded noise transactions.  The
-        # counter lives on the emulator's AF, behind whatever wraps it.
-        af_owner = getattr(port, "downstream", port)
-        af_owner.af.filtered_transactions += log.filtered
-        _issue_message(port, Message(MessageKind.START_EMULATION))
-        first_event = 0
-        start = 0
-        current_core: int | None = None
-    else:
-        first_event = int(resume["event_index"])
-        start = int(resume["start"])
-        core_state = resume["current_core"]
-        current_core = None if core_state is None else int(core_state)
-    events = log.events
-    for event_index in range(first_event, len(events)):
-        opcode, a, b = events[event_index]
+    # Out-of-window traffic never reaches the banks; only its count is
+    # architecturally visible, so restore the counter instead of
+    # replaying thousands of discarded noise transactions.  The counter
+    # lives on the emulator's AF, behind whatever wraps it.
+    emulator = port
+    while not isinstance(emulator, DragonheadEmulator):
+        emulator = emulator.downstream
+    emulator.af.filtered_transactions += log.filtered
+    _issue_message(port, Message(MessageKind.START_EMULATION))
+    start = 0
+    current_core: int | None = None
+    for opcode, a, b in log.events:
         if int(opcode) == EVENT_DATA:
             end, core = int(a), int(b)
             if core != current_core:
@@ -413,39 +366,7 @@ def replay_into(log: ReplayLog, port, on_event=None, resume=None) -> None:
         else:
             _issue_message(port, Message(MessageKind.INSTRUCTIONS_RETIRED, int(a)))
             _issue_message(port, Message(MessageKind.CYCLES_COMPLETED, int(b)))
-        if on_event is not None:
-            on_event(
-                {
-                    "event_index": event_index + 1,
-                    "start": start,
-                    "current_core": current_core,
-                }
-            )
     _issue_message(port, Message(MessageKind.STOP_EMULATION))
-
-
-def _replay_identity(
-    log: ReplayLog, config: DragonheadConfig, lenient: bool, audit_mode: str
-) -> dict:
-    """What a replay checkpoint must match to be resumable.
-
-    The log's shape counters are a cheap fingerprint: resuming against
-    a different captured log with the same workload label would change
-    at least one of them.
-    """
-    return {
-        "kind": "replay",
-        "workload": log.workload,
-        "cores": log.cores,
-        "quantum": log.quantum,
-        "accesses": log.accesses,
-        "instructions": log.instructions,
-        "filtered": log.filtered,
-        "events": len(log.events),
-        "config": repr(config),
-        "lenient": lenient,
-        "audit": audit_mode,
-    }
 
 
 def _scheduler_cycles(log: ReplayLog) -> int:
@@ -457,31 +378,12 @@ def _scheduler_cycles(log: ReplayLog) -> int:
     return cycles
 
 
-def _attach_audit_oracle(emulator: DragonheadEmulator, mode: str) -> None:
-    """Hook the differential LRU oracle (LRU configurations only)."""
-    if mode == AUDIT_OFF or emulator.config.policy.lower() != "lru":
-        return
-    bank_config = emulator.config.bank_config(0)
-    emulator.attach_oracle(
-        OracleTap(
-            num_sets=bank_config.num_sets,
-            associativity=bank_config.associativity,
-            num_banks=NUM_BANKS,
-            bank_shift=BANK_SHIFT,
-            every=1 if mode == AUDIT_FULL else SAMPLE_EVERY,
-        )
-    )
-
-
 def replay(
     log: ReplayLog,
     config: DragonheadConfig,
     spec: FaultSpec | None = None,
     lenient: bool = False,
     audit: str | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_path: str | None = None,
-    resume_from: str | None = None,
 ) -> CoSimResult:
     """One configuration's worth of a sweep: fresh emulator, one pass.
 
@@ -489,14 +391,13 @@ def replay(
     :class:`~repro.faults.injector.FaultInjector` between the replayed
     stream and the emulator's snoop port, keyed to the grid point so
     every (workload, cores, config) gets its own deterministic fault
-    stream regardless of worker count or replay order.  ``audit`` and
-    the checkpoint knobs mirror :meth:`~repro.core.cosim.CoSimPlatform.
-    run`: the resumed replay is bit-identical to an uninterrupted one,
-    and the audit report equals the fresh run's.
+    stream regardless of worker count or replay order.  ``audit``
+    mirrors :meth:`~repro.core.cosim.CoSimPlatform.run`: the audit
+    report equals the fresh run's.
     """
     audit_mode = resolve_audit_mode(audit)
     emulator = DragonheadEmulator(config, strict=not lenient)
-    _attach_audit_oracle(emulator, audit_mode)
+    attach_audit_oracle(emulator, audit_mode)
     port = emulator
     injector = None
     if spec is not None and spec.touches_bus:
@@ -508,86 +409,17 @@ def replay(
             point=(log.workload, log.cores, config.cache_size, config.line_size),
         )
         port = injector
-    if checkpoint_path is None:
-        checkpoint_path = resume_from
-    checkpointing = checkpoint_every is not None and checkpoint_path is not None
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise CheckpointError(
-            f"checkpoint_every must be positive, got {checkpoint_every}"
-        )
-    if checkpointing and injector is not None:
-        raise CheckpointError(
-            "checkpointing is not supported with bus fault injection: the "
-            "injector's decision stream is positional and would diverge on "
-            "resume"
-        )
-    identity = _replay_identity(log, config, lenient, audit_mode)
-    resume_position = None
-    if resume_from is not None and os.path.exists(resume_from):
-        state = read_snapshot(resume_from, expect_identity=identity)
-        emulator.load_state_dict(state["emulator"])
-        resume_position = state["replay"]
-    if checkpointing:
-        guard: DeferredInterrupt | contextlib.AbstractContextManager = (
-            DeferredInterrupt()
-        )
-    else:
-        guard = contextlib.nullcontext()
-    with guard as interrupt, telemetry.span("replay.point"):
+    with telemetry.span("replay.point"):
         telemetry.counter("repro_replay_points_total").inc()
-        if checkpointing:
-            last_snapshot = (
-                0 if resume_position is None else int(resume_position["start"])
-            )
-
-            def on_event(position: dict) -> None:
-                nonlocal last_snapshot
-                due = position["start"] - last_snapshot >= checkpoint_every
-                if due or interrupt.pending:
-                    write_snapshot(
-                        checkpoint_path,
-                        {"replay": position, "emulator": emulator.state_dict()},
-                        identity,
-                    )
-                    last_snapshot = position["start"]
-                interrupt.deliver()
-
-            replay_into(log, port, on_event=on_event, resume=resume_position)
-        else:
-            replay_into(log, port, resume=resume_position)
-    if injector is not None:
-        injector.flush()
-    performance = emulator.read_performance_data()
-    degradation = collect_run_degradation(injector, performance)
-    audit_report = None
-    if audit_mode != AUDIT_OFF:
-        audit_report = run_audit(
-            emulator,
-            performance,
-            mode=audit_mode,
-            expected_instructions=log.instructions,
-            expected_cycles=_scheduler_cycles(log),
-        )
-        if not audit_report.ok:
-            if not lenient:
-                raise AuditError(audit_report)
-            degradation = merge_records(
-                degradation, audit_report.degradation_records()
-            )
-    if checkpointing:
-        try:
-            os.unlink(checkpoint_path)
-        except OSError:
-            pass
-    return CoSimResult(
+        replay_into(log, port)
+    return finish_run(
+        emulator,
+        injector,
         workload=log.workload,
         cores=log.cores,
-        performance=performance,
         instructions=log.instructions,
-        accesses=performance.stats.accesses,
-        filtered=performance.filtered_transactions,
-        degradation=degradation,
-        audit=audit_report,
+        cycles=_scheduler_cycles(log),
+        audit_mode=audit_mode,
     )
 
 
@@ -689,36 +521,10 @@ class _LogHandle:
 
 def _replay_task(
     task: tuple[_LogHandle, DragonheadConfig, FaultSpec | None, bool, str | None],
-    checkpoint_path: str | None = None,
 ) -> CoSimResult:
-    """One (log, config) replay — module-level so it crosses processes.
-
-    ``checkpoint_path`` arrives from the sweep supervisor (see
-    ``supports_checkpoint`` below): the point snapshots there as it
-    runs and resumes from it after a timeout, crash, or SIGKILL.
-    """
+    """One (log, config) replay — module-level so it crosses processes."""
     handle, config, spec, lenient, audit = task
-    # Bus fault injection and checkpointing are mutually exclusive (the
-    # injector's decision stream is positional); a fault-injected sweep
-    # under a checkpointing supervisor simply runs its points unresumed.
-    checkpointable = checkpoint_path is not None and (
-        spec is None or not spec.touches_bus
-    )
-    return replay(
-        handle.resolve(),
-        config,
-        spec=spec,
-        lenient=lenient,
-        audit=audit,
-        checkpoint_every=_checkpoint_interval() if checkpointable else None,
-        checkpoint_path=checkpoint_path if checkpointable else None,
-        resume_from=checkpoint_path if checkpointable else None,
-    )
-
-
-#: Tells the supervisor this task accepts a per-point checkpoint path.
-#: A function attribute survives pickling-by-reference into workers.
-_replay_task.supports_checkpoint = True  # type: ignore[attr-defined]
+    return replay(handle.resolve(), config, spec=spec, lenient=lenient, audit=audit)
 
 
 def replay_map(
@@ -745,8 +551,8 @@ def replay_map(
     per grid point, so fan-out width never changes the fault stream);
     ``audit`` audits every point's result.
 
-    ``log_key`` is the log's content address, which journal, ledger and
-    checkpoint keys are built from; without one the arrays are hashed.
+    ``log_key`` is the log's content address, which journal and ledger
+    keys are built from; without one the arrays are hashed.
     """
     configs = list(configs)
     audit_mode = resolve_audit_mode(audit)

@@ -10,7 +10,7 @@ byte-identical to the serial run — see :mod:`repro.harness.parallel`.
 
 Every sweep grid runs under the fault-tolerant supervisor
 (:mod:`repro.harness.supervisor`): ``--timeout``/``--retries`` bound
-misbehaving points, ``--journal``/``--resume`` checkpoint completed
+misbehaving points, ``--journal``/``--resume`` record completed
 points so a killed run restarts where it stopped, ``--inject`` plants
 deterministic harness faults (worker crash/hang) to exercise the
 recovery paths, and ``--lenient`` degrades gracefully — a point or
@@ -46,6 +46,7 @@ from repro.harness.cli import (
     _emit_telemetry,
     add_sweep_arguments,
     open_trace_cache,
+    parse_sweep_args,
     run_cli,
     sweep_session,
 )
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="FILE",
         default=None,
-        help="checkpoint completed sweep points to FILE "
+        help="record completed sweep points to FILE "
         "(default with --resume: .repro-runall.jsonl)",
     )
     parser.add_argument(
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Regenerate every exhibit (optionally extended studies + CSV)."""
-    return run_cli(_run, build_parser().parse_args(argv))
+    return run_cli(_run, parse_sweep_args(build_parser(), argv))
 
 
 def _run(args: argparse.Namespace) -> int:

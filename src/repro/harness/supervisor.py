@@ -48,10 +48,10 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.errors import (
+    ConfigurationError,
     DeadlineExpired,
     FaultInjectionError,
     SweepInterrupted,
@@ -76,7 +76,8 @@ class SupervisorPolicy:
     Attributes:
         timeout: per-point wall-clock budget in seconds (None = no
             limit).  Only enforceable with real worker processes; the
-            serial path documents-and-ignores it.
+            serial path documents-and-ignores it, and the shard fabric
+            refuses it.
         retries: re-runs granted to a failing point after its first
             attempt.
         backoff_base: first retry delay in seconds; attempt ``k`` waits
@@ -119,13 +120,6 @@ class SupervisorContext:
     #: recorded as they finish, on the pool and on the shard fabric.
     journal: FabricLedger | None = None
     fault_spec: FaultSpec | None = None
-    #: Directory for per-point mid-run snapshots.  Tasks that advertise
-    #: ``supports_checkpoint = True`` receive a per-point path under it
-    #: (keyed by the point's content key), snapshot there as they run,
-    #: and resume from the snapshot when a timeout, crash, or SIGKILL
-    #: forces a re-run — the retry continues mid-point instead of
-    #: starting over, and the result stays bit-identical.
-    checkpoint_dir: str | None = None
     #: Shard-fabric shape (``--executor shard``).  None keeps the
     #: serial/pool routing; set, every supervised map runs on the
     #: fabric driver instead
@@ -133,7 +127,7 @@ class SupervisorContext:
     fabric: FabricConfig | None = None
     #: Aggregated event counters across all supervised maps:
     #: journal-skip, worker-crash, worker-hang-injected, point-timeout,
-    #: point-retry, point-degraded, point-resumed, pool-respawn, plus
+    #: point-retry, point-degraded, pool-respawn, plus
     #: the fabric's fabric-lease, fabric-steal, fabric-verified,
     #: fabric-quarantined, and fabric-worker-respawn.
     counts: dict[str, int] = field(default_factory=dict)
@@ -186,7 +180,6 @@ def supervise(
     policy: SupervisorPolicy | None = None,
     journal: FabricLedger | None = None,
     fault_spec: FaultSpec | None = None,
-    checkpoint_dir: str | os.PathLike | None = None,
     fabric: FabricConfig | None = None,
 ) -> Iterator[SupervisorContext]:
     """Install a supervisor context for the duration of a sweep.
@@ -194,15 +187,22 @@ def supervise(
     While active, every :func:`repro.harness.parallel.parallel_map` call
     uses this context instead of a fresh retries=0 one — the exhibit
     harnesses need no new parameters to become fault-tolerant.
+
+    A per-point ``timeout`` is refused on the fabric: shard workers
+    renew a running point's lease for as long as it runs, so nothing
+    there would enforce the budget.
     """
     global _ACTIVE
-    if checkpoint_dir is not None:
-        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+    policy = policy or SupervisorPolicy()
+    if policy.timeout is not None and fabric is not None:
+        raise ConfigurationError(
+            "a per-point timeout cannot be enforced on the shard fabric; "
+            "use the pool executor"
+        )
     context = SupervisorContext(
-        policy=policy or SupervisorPolicy(),
+        policy=policy,
         journal=journal,
         fault_spec=fault_spec,
-        checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
         fabric=fabric,
     )
     previous = _ACTIVE
@@ -216,13 +216,7 @@ def supervise(
 # -- worker-side entry ---------------------------------------------------
 
 
-def _run_point(
-    task: Callable,
-    item: Any,
-    fault: str | None,
-    hang_seconds: float,
-    checkpoint_path: str | None = None,
-):
+def _run_point(task: Callable, item: Any, fault: str | None, hang_seconds: float):
     """Execute one grid point in a worker, applying any planned fault.
 
     An injected *crash* kills the worker process outright (the honest
@@ -230,17 +224,11 @@ def _run_point(
     ``BrokenProcessPool``, not as a tidy exception); an injected *hang*
     stalls for ``hang_seconds`` before running the point, so an untimed
     sweep still finishes, merely late.
-
-    ``checkpoint_path`` is forwarded only to tasks that advertise
-    ``supports_checkpoint``; the task snapshots there as it runs and
-    resumes from it if this attempt is not the first.
     """
     if fault == "crash":
         os._exit(73)
     elif fault == "hang":
         time.sleep(hang_seconds)
-    if checkpoint_path is not None:
-        return task(item, checkpoint_path=checkpoint_path)
     return task(item)
 
 
@@ -280,21 +268,12 @@ def supervised_map(
     context.total += n
     results: list[Any] = [_UNSET] * n
 
-    checkpointing = context.checkpoint_dir is not None and getattr(
-        task, "supports_checkpoint", False
-    )
     need_keys = (
         context.journal is not None
         or context.fault_spec is not None
         or context.fabric is not None
-        or checkpointing
     )
     keys = [point_key(task, item) for item in work] if need_keys else None
-    ckpt_paths: list[str | None] = [None] * n
-    if checkpointing:
-        ckpt_paths = [
-            os.path.join(context.checkpoint_dir, key + ".ckpt") for key in keys
-        ]
 
     completed = context.journal.completed() if context.journal is not None else {}
     pending: list[int] = []
@@ -313,7 +292,7 @@ def supervised_map(
         # their records back into this ordered list.
         from repro.harness.executors.fabric import run_fabric
 
-        run_fabric(task, work, pending, keys, ckpt_paths, results, context)
+        run_fabric(task, work, pending, keys, results, context)
         return results
 
     workers = min(resolve_jobs(jobs), len(pending))
@@ -325,9 +304,9 @@ def supervised_map(
         # first breach left a degradation record).
         workers = 1
     if workers <= 1:
-        _run_serial(task, work, pending, keys, ckpt_paths, results, context)
+        _run_serial(task, work, pending, keys, results, context)
     else:
-        _run_pool(task, work, pending, keys, ckpt_paths, results, context, workers)
+        _run_pool(task, work, pending, keys, results, context, workers)
     return results
 
 
@@ -341,16 +320,6 @@ def _point_fault(
     if fault is not None:
         context.count(f"worker-{fault}-injected")
     return fault
-
-
-def _resumes(checkpoint_path: str | None) -> bool:
-    """Whether an attempt launched now picks up from a mid-point snapshot.
-
-    A snapshot on disk at launch time means a previous attempt was cut
-    down mid-run (timeout, crash, SIGKILL) after at least one
-    checkpoint landed — the task resumes instead of starting over.
-    """
-    return checkpoint_path is not None and os.path.exists(checkpoint_path)
 
 
 def _finish(
@@ -440,7 +409,6 @@ def _run_serial(
     work: list,
     pending: list[int],
     keys: list[str] | None,
-    ckpt_paths: list,
     results: list,
     context: SupervisorContext,
 ) -> None:
@@ -456,19 +424,13 @@ def _run_serial(
         attempt = 0
         while True:
             fault = _point_fault(context, keys, i, attempt)
-            if _resumes(ckpt_paths[i]):
-                context.count("point-resumed")
             try:
                 if fault == "crash":
                     raise FaultInjectionError("injected worker crash (serial mode)")
                 if fault == "hang":
                     time.sleep(context.fault_spec.hang_seconds)
                 begin = time.perf_counter()
-                value = (
-                    task(work[i], checkpoint_path=ckpt_paths[i])
-                    if ckpt_paths[i] is not None
-                    else task(work[i])
-                )
+                value = task(work[i])
                 wall = time.perf_counter() - begin
                 _finish(
                     context,
@@ -497,7 +459,6 @@ def _run_pool(
     work: list,
     pending: list[int],
     keys: list[str] | None,
-    ckpt_paths: list,
     results: list,
     context: SupervisorContext,
     workers: int,
@@ -523,7 +484,6 @@ def _run_pool(
             hang_seconds = (
                 context.fault_spec.hang_seconds if context.fault_spec else 0.0
             )
-            resumes = _resumes(ckpt_paths[index])
             handle = backend.submit(
                 SubmittedPoint(
                     index=index,
@@ -532,14 +492,11 @@ def _run_pool(
                     key=keys[index] if keys is not None else None,
                     fault=fault,
                     hang_seconds=hang_seconds,
-                    checkpoint_path=ckpt_paths[index],
                 )
             )
             if handle is None:
                 break  # the pool broke; the next poll rebuilds it
             queue.popleft()
-            if resumes:
-                context.count("point-resumed")
             deadline = now + policy.timeout if policy.timeout else None
             inflight[handle] = _Flight(
                 index=index, deadline=deadline, submitted=time.monotonic()
@@ -680,12 +637,5 @@ def _drain_report(
         print(
             f"  journal: {context.journal.path} — re-run with --resume to "
             "skip completed points",
-            file=sys.stderr,
-        )
-    if context.checkpoint_dir is not None:
-        print(
-            f"  checkpoints: {context.checkpoint_dir} — in-flight points "
-            "left mid-run snapshots and will resume from them, not from "
-            "scratch",
             file=sys.stderr,
         )

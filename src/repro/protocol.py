@@ -66,23 +66,6 @@ class MessageCodec:
     def __init__(self) -> None:
         self._pending_high: dict[MessageKind, int] = {}
 
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        """Decoder state for a checkpoint (the stashed ``*_HIGH`` words).
-
-        Keys are opcode ints rather than :class:`MessageKind` members so
-        the snapshot payload stays plain-data.
-        """
-        return {"pending_high": {int(k): v for k, v in self._pending_high.items()}}
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore decoder state captured by :meth:`state_dict`."""
-        pending = state["pending_high"]
-        self._pending_high = {
-            MessageKind(int(k)): int(v) for k, v in pending.items()  # type: ignore[union-attr]
-        }
-
     # -- classification ----------------------------------------------------
 
     @staticmethod

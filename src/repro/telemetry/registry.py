@@ -6,7 +6,7 @@ can increment and one collector can read out.  Three metric types cover
 what the co-simulation stack measures:
 
 * :class:`Counter` — monotonically increasing totals (accesses snooped,
-  checkpoints written, faults injected);
+  points retried, faults injected);
 * :class:`Gauge` — last-written values (the current window's MPKI, the
   sweep's completion fraction);
 * :class:`Histogram` — bucketed distributions with Prometheus

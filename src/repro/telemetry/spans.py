@@ -1,7 +1,7 @@
 """Context-manager spans with monotonic clocks.
 
 A span measures one phase of a run — a trace capture, one replayed
-configuration, a checkpoint write, an audit pass — with
+configuration, an audit pass — with
 ``time.perf_counter`` (monotonic, immune to wall-clock steps).  Spans
 nest: the tracker keeps a stack, so a ``replay.point`` span opened
 inside the ``replay`` phase records its parent and depth, and the

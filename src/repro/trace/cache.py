@@ -177,7 +177,6 @@ class TraceCacheStats:
     enospc: int = 0
     gc_quarantined: int = 0
     gc_orphans: int = 0
-    gc_checkpoints: int = 0
 
     def describe(self) -> str:
         line = (
@@ -192,7 +191,6 @@ class TraceCacheStats:
                 "enospc",
                 "gc_quarantined",
                 "gc_orphans",
-                "gc_checkpoints",
             )
             if getattr(self, name)
         )

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
+from repro.harness import cli, runall
 from repro.harness.cli import build_fabric_config, build_parser
 from repro.harness.executors.base import FabricConfig
 from repro.harness.executors.ledger import (
@@ -23,7 +24,13 @@ from repro.harness.executors.ledger import (
     ensure_no_conflicts,
 )
 from repro.harness.executors.worker import work_loop
-from repro.harness.supervisor import SupervisorContext, point_key, supervised_map
+from repro.harness.supervisor import (
+    SupervisorContext,
+    SupervisorPolicy,
+    point_key,
+    supervise,
+    supervised_map,
+)
 
 
 # -- module-level tasks (ledger payloads pickle by reference) -----------
@@ -72,6 +79,38 @@ class TestFabricConfig:
         with pytest.raises(ConfigurationError, match="quarantine"):
             FabricConfig(quarantine_after=0)
 
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (
+                cli.main,
+                [
+                    "--workload", "FIMI", "--cores", "2", "--cache", "1MB,4MB",
+                    "--source", "synthetic", "--accesses", "65536",
+                    "--trace-cache", "off",
+                ],
+            ),
+            (runall.main, []),
+        ],
+        ids=["cosim", "runall"],
+    )
+    def test_timeout_on_the_shard_executor_is_a_usage_error(
+        self, main, argv, capsys
+    ):
+        # Shard workers renew a running point's lease, so nothing there
+        # would enforce the budget: refused before any work starts.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--executor", "shard", "--timeout", "0.001", "--retries", "0"])
+        assert excinfo.value.code == 2
+        assert "--timeout cannot be combined with --executor shard" in (
+            capsys.readouterr().err
+        )
+
+    def test_supervise_refuses_a_timeout_with_a_fabric(self):
+        with pytest.raises(ConfigurationError, match="timeout"):
+            with supervise(SupervisorPolicy(timeout=1.0), fabric=FabricConfig()):
+                pass
+
     def test_heartbeat_defaults_to_a_third_of_the_ttl(self):
         assert FabricConfig(lease_ttl=30.0).heartbeat_period == 10.0
         assert FabricConfig(lease_ttl=30.0, heartbeat_every=2.0).heartbeat_period == 2.0
@@ -97,24 +136,24 @@ class TestLedgerFile:
 
     def test_manifest_is_append_once_per_key(self, tmp_path):
         ledger = FabricLedger(tmp_path / "ledger.jsonl")
-        points = [("k1", (double, 1), None), ("k2", (double, 2), None)]
+        points = [("k1", (double, 1)), ("k2", (double, 2))]
         assert ledger.manifest(points) == 2
         # Re-manifesting (a resumed parent) appends nothing new.
         assert ledger.manifest(points) == 0
-        assert ledger.manifest(points + [("k3", (double, 3), None)]) == 1
+        assert ledger.manifest(points + [("k3", (double, 3))]) == 1
 
     def test_remanifest_replaces_a_changed_payload(self, tmp_path):
         # A resumed sweep may carry its log in a new temporary directory:
         # workers must claim the new payload, not the first one.
         ledger = FabricLedger(tmp_path / "ledger.jsonl")
-        ledger.manifest([("k1", (double, 1), None)])
-        assert ledger.manifest([("k1", (double, 2), None)]) == 1
+        ledger.manifest([("k1", (double, 1))])
+        assert ledger.manifest([("k1", (double, 2))]) == 1
         claim = ledger.try_claim("w1", 30.0, 2, 3)
         assert claim.load() == (double, 2)
 
     def test_remanifest_restarts_an_interrupted_point(self, tmp_path):
         ledger = FabricLedger(tmp_path / "ledger.jsonl")
-        points = [("k1", (double, 1), None), ("k2", (double, 2), None)]
+        points = [("k1", (double, 1)), ("k2", (double, 2))]
         ledger.manifest(points)
         ledger.try_claim("w1", 30.0, 2, 3, now=1000.0)  # k1, then killed
         claim = ledger.try_claim("w2", 30.0, 2, 3, now=1000.0)
@@ -130,10 +169,10 @@ class TestLedgerFile:
 
     def test_remanifest_never_reopens_a_done_point(self, tmp_path):
         ledger = FabricLedger(tmp_path / "ledger.jsonl")
-        ledger.manifest([("k1", (double, 1), None)])
+        ledger.manifest([("k1", (double, 1))])
         ledger.try_claim("w1", 30.0, 2, 3)
         ledger.record_done("k1", "w1", 2, 0.1, 1)
-        assert ledger.manifest([("k1", (double, 5), None)]) == 0
+        assert ledger.manifest([("k1", (double, 5))]) == 0
         assert ledger.state.points["k1"].result() == 2
 
     def test_torn_tail_is_repaired_not_fused(self, tmp_path):
@@ -172,7 +211,7 @@ class TestLedgerFile:
 class TestLeases:
     def _manifested(self, tmp_path, keys=("k1", "k2")):
         ledger = FabricLedger(tmp_path / "ledger.jsonl")
-        ledger.manifest([(k, (double, i), None) for i, k in enumerate(keys)])
+        ledger.manifest([(k, (double, i)) for i, k in enumerate(keys)])
         return ledger
 
     def test_claims_follow_manifest_order(self, tmp_path):
@@ -257,7 +296,7 @@ class TestRecordDone:
 
     def test_done_releases_the_lease(self, tmp_path):
         ledger = FabricLedger(tmp_path / "ledger.jsonl")
-        ledger.manifest([("k1", (double, 7), None)])
+        ledger.manifest([("k1", (double, 7))])
         ledger.try_claim("w1", 30.0, 2, 3)
         ledger.record_done("k1", "w1", 14, 0.1, 1)
         assert ledger.state.points["k1"].lease_worker is None
@@ -278,7 +317,7 @@ class TestJournalInterop:
         path = tmp_path / "ledger.jsonl"
         ledger = FabricLedger(path)
         key = point_key(double, 21)
-        ledger.manifest([(key, (double, 21), None)])
+        ledger.manifest([(key, (double, 21))])
         ledger.try_claim("w1", 30.0, 2, 3)
         ledger.record_done(key, "w1", 42, 0.1, 1)
         context = SupervisorContext(journal=FabricLedger(path, resume=True))
@@ -314,7 +353,7 @@ class TestWorkLoop:
         row.update(config or {})
         ledger.write_config(row)
         keys = [point_key(task, item) for item in items]
-        ledger.manifest([(k, (task, i), None) for k, i in zip(keys, items)])
+        ledger.manifest([(k, (task, i)) for k, i in zip(keys, items)])
         return path, ledger, keys
 
     def test_drains_the_manifest_and_exits_zero(self, tmp_path):

@@ -493,7 +493,7 @@ class TestStoreUnderPressure:
 
 
 class TestCollectGarbage:
-    def _wreckage(self, cache: TraceCache, tmp_path):
+    def _wreckage(self, cache: TraceCache):
         key = make_entry(cache, "sound")
         entry = cache.root / key[:2] / key[2:]
         quarantined = entry.with_name(entry.name + ".corrupt")
@@ -501,50 +501,37 @@ class TestCollectGarbage:
         orphan = cache.root / ".tmp-deadbeef-99-cafef00d"
         orphan.mkdir()
         (orphan / "partial.npy").write_bytes(b"x" * 128)
-        ckpt_dir = tmp_path / "ckpts"
-        ckpt_dir.mkdir()
-        stale_ckpt = ckpt_dir / "point.ckpt"
-        stale_ckpt.write_bytes(b"snapshot")
-        return [quarantined, orphan, stale_ckpt], ckpt_dir
+        return [quarantined, orphan]
 
     def test_aged_debris_is_collected_and_counted(self, tmp_path):
         cache = TraceCache(tmp_path / "cache")
-        debris, ckpt_dir = self._wreckage(cache, tmp_path)
+        debris = self._wreckage(cache)
         keep = make_entry(cache, "live")
         for path in debris:
             stamp = time.time() - 14 * 24 * 3600
             os.utime(path, (stamp, stamp))
-        removed = governor_gc.collect_garbage(cache, checkpoint_dir=ckpt_dir)
-        assert removed == {
-            "gc_quarantined": 1,
-            "gc_orphans": 1,
-            "gc_checkpoints": 1,
-        }
+        removed = governor_gc.collect_garbage(cache)
+        assert removed == {"gc_quarantined": 1, "gc_orphans": 1}
         assert cache.stats.gc_quarantined == 1
         assert cache.stats.gc_orphans == 1
-        assert cache.stats.gc_checkpoints == 1
         for path in debris:
             assert not path.exists()
         assert cache.load(keep) is not None  # live entries are untouchable
 
     def test_young_debris_is_left_alone(self, tmp_path):
         cache = TraceCache(tmp_path / "cache")
-        debris, ckpt_dir = self._wreckage(cache, tmp_path)
-        removed = governor_gc.collect_garbage(cache, checkpoint_dir=ckpt_dir)
-        assert removed == {
-            "gc_quarantined": 0,
-            "gc_orphans": 0,
-            "gc_checkpoints": 0,
-        }
+        debris = self._wreckage(cache)
+        removed = governor_gc.collect_garbage(cache)
+        assert removed == {"gc_quarantined": 0, "gc_orphans": 0}
         for path in debris:
             assert path.exists()
 
     def test_age_threshold_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(governor_gc.GC_AGE_ENV, "0.0")
         cache = TraceCache(tmp_path / "cache")
-        debris, ckpt_dir = self._wreckage(cache, tmp_path)
-        removed = governor_gc.collect_garbage(cache, checkpoint_dir=ckpt_dir)
-        assert sum(removed.values()) == 3
+        self._wreckage(cache)
+        removed = governor_gc.collect_garbage(cache)
+        assert sum(removed.values()) == 2
 
 
 # -- stats byte-identity ------------------------------------------------

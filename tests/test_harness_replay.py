@@ -32,6 +32,7 @@ from repro.harness.replay import (
 from repro.trace.cache import TraceCache
 from repro.units import MB
 from repro.workloads.registry import get_workload
+from tests.per_event import per_event_replay
 
 #: ≥3 workloads (different mining kernels → different trace shapes).
 WORKLOADS = ("FIMI", "RSEARCH", "MDS")
@@ -148,19 +149,16 @@ def _adversarial_log() -> ReplayLog:
 
 
 class TestAdversarialStream:
-    def test_mixed_size_stream_batched_equals_per_access(self, tmp_path):
+    def test_mixed_size_stream_batched_equals_per_access(self):
         """Field-for-field ``CoSimResult`` equality between the batched
-        fast path and the per-access message loop (forced by installing
-        a checkpoint observer whose interval never comes due)."""
+        fast path and the per-access message loop (forced by a
+        pass-through snooper wrapped around the emulator)."""
         log = _adversarial_log()
         for config in GEOMETRIES:
             batched = replay(log, config)
-            per_access = replay(
-                log,
-                config,
-                checkpoint_every=1 << 30,
-                checkpoint_path=str(tmp_path / "never-due.ckpt"),
-            )
+            with per_event_replay() as snoopers:
+                per_access = replay(log, config)
+            assert snoopers[0].chunks > 0
             assert batched == per_access, f"paths diverged at {config}"
 
     def test_batched_run_passes_sample_audit(self):

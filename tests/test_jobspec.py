@@ -262,17 +262,18 @@ def _force_audit_violations(monkeypatch) -> None:
     """Every end-of-run audit report gains one failed check."""
     import dataclasses
 
-    import repro.harness.replay as replay_module
+    import repro.core.cosim as cosim_module
     from repro.audit.report import AuditCheck
 
-    real_run_audit = replay_module.run_audit
+    real_run_audit = cosim_module.run_audit
 
     def run_audit(*args, **kwargs):
         report = real_run_audit(*args, **kwargs)
         forced = AuditCheck(name="forced", ok=False, detail="forced violation")
         return dataclasses.replace(report, checks=report.checks + (forced,))
 
-    monkeypatch.setattr(replay_module, "run_audit", run_audit)
+    # finish_run, the one run epilogue, audits every replayed point.
+    monkeypatch.setattr(cosim_module, "run_audit", run_audit)
 
 
 def _cosim(argv, monkeypatch) -> int:

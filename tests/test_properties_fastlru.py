@@ -110,21 +110,3 @@ class TestBatchedEquivalence:
             np.array([hit for hit, _ in ref_outcomes], dtype=bool),
         )
         assert directories(fast, num_sets) == directories(reference, num_sets)
-
-
-class TestCheckpointStateRoundtrip:
-    @given(geometry=geometries, lines=lines_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_dump_load_preserves_order_and_future(self, geometry, lines):
-        """A dumped-and-reloaded kernel is indistinguishable going
-        forward — the property the checkpoint layer rests on."""
-        num_sets, assoc = geometry
-        original = FastLRUKernel(num_sets, assoc)
-        drive_scalar(original, num_sets, lines)
-        clone = FastLRUKernel(num_sets, assoc)
-        clone.load_state(original.dump_state())
-        assert directories(clone, num_sets) == directories(original, num_sets)
-        future = lines[::-1][:50]
-        assert drive_scalar(clone, num_sets, future) == drive_scalar(
-            original, num_sets, future
-        )

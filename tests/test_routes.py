@@ -2,10 +2,10 @@
 
 One job spec must yield one ``result_digest`` whichever front door ran
 it: ``JobSpec.run()`` serial or pooled, the same under ``supervise()``,
-the shard fabric, a ``run_batch`` slice, or a ``JobServer`` job.  A
-journal written without a trace cache must let a resumed run skip every
-point and append nothing, and a sweep stopped on one executor must
-finish on the other.
+the shard fabric, the replay engine's per-event loop, a ``run_batch``
+slice, or a ``JobServer`` job.  A journal written without a trace cache
+must let a resumed run skip every point and append nothing, and a sweep
+stopped on one executor must finish on the other.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from repro.harness.executors.ledger import FabricLedger
 from repro.harness.supervisor import SupervisorPolicy, supervise
 from repro.serve.jobspec import JobSpec, result_digest, run_batch
 from repro.serve.server import JobServer
+from repro.trace.cache import TraceCache
+from tests.per_event import per_event_replay
 
 MB = 1024 * 1024
 
@@ -63,6 +65,15 @@ def _shard(spec: JobSpec, tmp_path: Path):
     return _supervised(spec, tmp_path, fabric=FabricConfig(shards=2, lease_ttl=10.0))
 
 
+def _per_event(spec: JobSpec, tmp_path: Path):
+    # Serial, so every point replays in this process, through the snooper.
+    with per_event_replay() as snoopers:
+        results = spec.run()
+    assert len(snoopers) == len(spec.cache)
+    assert all(snooper.chunks for snooper in snoopers)
+    return results
+
+
 def _batch_slice(spec: JobSpec, tmp_path: Path):
     # A rider with a larger size in front, so the spec's results sit at
     # slots 1 and 2 of the pooled pass, not 0 and 1.
@@ -87,6 +98,7 @@ ROUTES = {
     "supervised-serial": _supervised,
     "supervised-pool": functools.partial(_supervised, jobs=2),
     "shard": _shard,
+    "per-event": _per_event,
     "batch-slice": _batch_slice,
     "served": _served,
 }
@@ -256,3 +268,44 @@ class TestResumeAcrossExecutors:
         with supervise(journal=FabricLedger(path, resume=True)) as context:
             results = spec.run(jobs=2)
         self._check_resumed(spec, path, context, results, finished)
+
+
+class TestLedgerWithCheckpointFields:
+    """Fabric runs with the removed ``--checkpoint-dir`` flag wrote a
+    ``checkpoint`` field on every ``point`` record.  Such a ledger
+    still resumes: the field is ignored."""
+
+    def test_point_records_with_a_checkpoint_field_still_resume(self, tmp_path):
+        spec = _spec("exact", cache=[MB, 2 * MB, 4 * MB, 8 * MB])
+        # A trace cache keeps each point's payload stable across runs,
+        # so the resumed sweep claims the old records, field and all.
+        cache = TraceCache(tmp_path / "traces")
+        path = tmp_path / "ledger.jsonl"
+
+        def stop_after_first_result(backend, cycle):
+            if any(ps.done for ps in backend.ledger.state.points.values()):
+                raise KeyboardInterrupt
+
+        stopped = FabricConfig(
+            shards=1, grace=0.1, observer=stop_after_first_result
+        )
+        stall = FaultSpec.parse("seed=1,hang=1,hang-seconds=1")
+        with pytest.raises(SweepInterrupted):
+            with supervise(
+                journal=FabricLedger(path), fault_spec=stall, fabric=stopped
+            ):
+                spec.run(trace_cache=cache)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            if row.get("type") == "point":
+                row["checkpoint"] = str(tmp_path / "ckpts" / f"{row['key']}.ckpt")
+        path.write_text(
+            "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        )
+        finished = len(_done_keys(path))
+        assert 1 <= finished < len(spec.cache)
+        journal = FabricLedger(path, resume=True)
+        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
+            results = spec.run(trace_cache=cache)
+        assert context.counts.get("journal-skip") == finished
+        assert result_digest(results) == result_digest(spec.run())
