@@ -39,8 +39,7 @@ class SharingRow:
 def measure_sharing(name: str, threads: int = 4) -> SharingRow:
     """Run ``threads`` kernel traces through the MESI system."""
     workload = get_workload(name)
-    runs = [workload.run_kernel(t, threads) for t in range(threads)]
-    streams = [[run.trace] for run in runs]
+    streams = [[run.trace] for run in workload.thread_runs(threads)]
     interleaved = materialize(round_robin_interleave(streams, quantum=512))
     system = CoherentCacheSystem(
         private_config=CacheConfig(size=64 * KB, line_size=64, associativity=8),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.trace.instrument import MemoryArena, TraceRecorder
 from repro.trace.record import AccessKind
@@ -187,6 +188,16 @@ def fp_growth(
         if ordered:
             tree.insert(ordered)
     return tree.mine()
+
+
+def traced_fimi_kernel(
+    recorder: TraceRecorder,
+    arena: MemoryArena,
+    transactions: Sequence[Sequence[int]],
+    min_support: int = 8,
+) -> dict[tuple[int, ...], int]:
+    """FP-growth over ``transactions`` with the tree laid out in ``arena``."""
+    return fp_growth(transactions, min_support, recorder=recorder, arena=arena)
 
 
 def bruteforce_frequent_itemsets(

@@ -15,7 +15,7 @@ predictions at matching scales.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +26,18 @@ _CHUNK = 262144
 
 
 class TraceRecorder:
-    """Accumulates recorded accesses into packed numpy chunks."""
+    """Accumulates recorded accesses as ``(addresses, kind, pc)`` segments.
+
+    A range or gather is one segment whose kind and pc hold for every
+    address in it; pending scalar records flush into a segment with
+    per-access kinds and pcs.  :meth:`trace` fills the columns once.
+    """
 
     def __init__(self) -> None:
         self._addr: list[int] = []
         self._kind: list[int] = []
         self._pc: list[int] = []
-        self._chunks: list[TraceChunk] = []
+        self._segments: list[tuple[np.ndarray, int | np.ndarray, int | np.ndarray]] = []
         self.instructions: int = 0
 
     def record(self, address: int, kind: AccessKind, pc: int = 0) -> None:
@@ -47,12 +52,14 @@ class TraceRecorder:
         self, base: int, count: int, stride: int, kind: AccessKind, pc: int = 0
     ) -> None:
         """Record a strided range of transactions (used by bulk slice ops)."""
-        if count <= 0:
-            return
+        if count > 0:
+            offsets = np.arange(count, dtype=np.uint64) * np.uint64(stride)
+            self.record_addresses(np.uint64(base) + offsets, kind, pc)
+
+    def record_addresses(self, addresses: np.ndarray, kind: AccessKind, pc: int = 0) -> None:
+        """Record transactions at ``uint64`` ``addresses``, all of one kind and pc."""
         self._flush()
-        addresses = np.uint64(base) + np.arange(count, dtype=np.uint64) * np.uint64(stride)
-        kinds = np.full(count, int(kind), dtype=np.uint8)
-        self._chunks.append(TraceChunk(addresses, kinds, 0, pc))
+        self._segments.append((addresses, int(kind), pc))
 
     def retire(self, instructions: int = 1) -> None:
         """Account non-memory instructions executed by the kernel.
@@ -66,8 +73,12 @@ class TraceRecorder:
 
     def _flush(self) -> None:
         if self._addr:
-            self._chunks.append(
-                TraceChunk(self._addr, self._kind, 0, self._pc)
+            self._segments.append(
+                (
+                    np.array(self._addr, dtype=np.uint64),
+                    np.array(self._kind, dtype=np.uint8),
+                    np.array(self._pc, dtype=np.uint64),
+                )
             )
             self._addr = []
             self._kind = []
@@ -75,7 +86,7 @@ class TraceRecorder:
 
     @property
     def access_count(self) -> int:
-        return sum(len(c) for c in self._chunks) + len(self._addr)
+        return sum(len(addresses) for addresses, _, _ in self._segments) + len(self._addr)
 
     @property
     def instruction_count(self) -> int:
@@ -85,12 +96,18 @@ class TraceRecorder:
     def trace(self) -> TraceChunk:
         """Return everything recorded so far as one chunk."""
         self._flush()
-        return TraceChunk.concatenate(self._chunks)
-
-    def stream(self) -> Iterator[TraceChunk]:
-        """Yield the recorded chunks in order."""
-        self._flush()
-        yield from self._chunks
+        if not self._segments:
+            return TraceChunk.empty()
+        addresses = np.concatenate([segment[0] for segment in self._segments])
+        kinds = np.empty(len(addresses), dtype=np.uint8)
+        pcs = np.empty(len(addresses), dtype=np.uint64)
+        start = 0
+        for segment, kind, pc in self._segments:
+            end = start + len(segment)
+            kinds[start:end] = kind
+            pcs[start:end] = pc
+            start = end
+        return TraceChunk(addresses, kinds, 0, pcs)
 
 
 class MemoryArena:
@@ -199,6 +216,14 @@ class TracedArray:
 
     # -- bulk access ----------------------------------------------------
 
+    def _axis_position(self, index: int, axis: int) -> int:
+        """Normalize a negative ``index`` on ``axis``; reject one out of range."""
+        size = self.data.shape[axis]
+        position = int(index) + size if index < 0 else int(index)
+        if not 0 <= position < size:
+            raise TraceError(f"index {index} is out of range for axis {axis} of size {size}")
+        return position
+
     def _slice_range(self, index) -> tuple[int, int, int]:
         """Resolve a slice to (base address, element count, stride)."""
         itemsize = self.data.itemsize
@@ -213,12 +238,12 @@ class TracedArray:
             if isinstance(r, (int, np.integer)) and isinstance(cs, slice):
                 start, stop, step = cs.indices(self.data.shape[1])
                 count = max(0, (stop - start + (step - (1 if step > 0 else -1))) // step)
-                row_base = self.base + int(r) * self.data.shape[1] * itemsize
+                row_base = self.base + self._axis_position(r, 0) * self.data.shape[1] * itemsize
                 return row_base + start * itemsize, count, step * itemsize
             if isinstance(r, slice) and isinstance(cs, (int, np.integer)):
                 start, stop, step = r.indices(self.data.shape[0])
                 count = max(0, (stop - start + (step - (1 if step > 0 else -1))) // step)
-                col_base = self.base + int(cs) * itemsize
+                col_base = self.base + self._axis_position(cs, 1) * itemsize
                 row_stride = self.data.shape[1] * itemsize
                 return col_base + start * row_stride, count, step * row_stride
         raise TraceError(f"unsupported traced slice: {index!r}")
@@ -253,7 +278,5 @@ class TracedArray:
         """Record reads at arbitrary flat indices and return the elements."""
         idx = np.asarray(indices, dtype=np.int64).ravel()
         addresses = np.uint64(self.base) + idx.astype(np.uint64) * np.uint64(self.data.itemsize)
-        kinds = np.zeros(len(idx), dtype=np.uint8)
-        self.recorder._flush()
-        self.recorder._chunks.append(TraceChunk(addresses, kinds, 0, self.pc))
+        self.recorder.record_addresses(addresses, AccessKind.READ, self.pc)
         return self.data.reshape(-1)[idx]

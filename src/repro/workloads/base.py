@@ -14,13 +14,15 @@ A :class:`Workload` bundles everything the harness needs:
 Thread scaling on the exact path approximates the Section 4.3 sharing
 taxonomy through arena placement: category-A/B threads run over the
 *same* address range (their primary structure is shared), category-C
-threads get disjoint ranges (private working sets).
+threads get disjoint ranges (private working sets).  A workload's
+kernel inputs are data — one keyword mapping per thread — so a capture
+can see which threads would run identical guest code and run it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -43,8 +45,6 @@ from repro.workloads.models import WorkloadMemoryModel
 SHARED_ARENA_BASE = 0x1000_0000
 #: ...while private-working-set threads are spaced this far apart.
 PRIVATE_THREAD_SPACING = 0x4000_0000
-
-KernelFunction = Callable[[TraceRecorder, MemoryArena], object]
 
 
 def _validate_repeats(repeats: int) -> None:
@@ -79,24 +79,59 @@ class KernelRun:
 
 @dataclass(frozen=True)
 class Workload:
-    """One of the paper's eight data-mining workloads."""
+    """One of the paper's eight data-mining workloads.
+
+    The exact path runs ``kernel``, a traced kernel from
+    :mod:`repro.mining` called as ``kernel(recorder, arena, **args)``.
+    ``thread_args(threads)`` returns each thread's ``args``: one keyword
+    mapping per thread, with hashable values.
+    """
 
     name: str
     description: str
     category: str  # Section 4.3 taxonomy: A, B, or C
     model: WorkloadMemoryModel
-    kernel_factory: Callable[[int, int, int], KernelFunction]
+    kernel: Callable[..., object]
+    thread_args: Callable[[int], list[dict[str, Hashable]]]
     table1_parameters: str = ""
     table1_dataset: str = ""
 
     # -- exact path: the real algorithm --------------------------------------
 
-    def run_kernel(self, thread_id: int = 0, threads: int = 1, seed: int = 0) -> KernelRun:
+    def run_kernel(self, thread_id: int = 0, threads: int = 1) -> KernelRun:
         """Execute the instrumented mining kernel for one thread."""
+        if not 0 <= thread_id < threads:
+            raise ConfigurationError(
+                f"thread_id must be in [0, {threads}), got {thread_id}"
+            )
+        args = self.thread_args(threads)[thread_id]
+        return self._execute(self._arena_base(thread_id), args)
+
+    def thread_runs(self, threads: int) -> list[KernelRun]:
+        """One :class:`KernelRun` per thread, each distinct kernel run once.
+
+        Threads called with equal arguments on the same arena base
+        record identical traces, so they share one run object.  Every
+        returned trace is read-only: a stray in-place write raises
+        instead of corrupting the threads that share it.
+        """
+        runs: dict[tuple, KernelRun] = {}
+        per_thread = []
+        for thread_id, args in enumerate(self.thread_args(threads)):
+            base = self._arena_base(thread_id)
+            key = (base, tuple(sorted(args.items())))
+            if key not in runs:
+                runs[key] = self._execute(base, args)
+            per_thread.append(runs[key])
+        for run in runs.values():
+            trace = run.trace
+            for column in (trace.addresses, trace.kinds, trace.cores, trace.pcs):
+                column.flags.writeable = False
+        return per_thread
+
+    def _execute(self, base: int, args: dict[str, Hashable]) -> KernelRun:
         recorder = TraceRecorder()
-        arena = MemoryArena(base=self._arena_base(thread_id))
-        kernel = self.kernel_factory(thread_id, threads, seed)
-        result = kernel(recorder, arena)
+        result = self.kernel(recorder, MemoryArena(base=base), **args)
         return KernelRun(
             workload=self.name,
             result=result,
@@ -110,9 +145,7 @@ class Workload:
         # Categories A and B share the primary structure: same addresses.
         return SHARED_ARENA_BASE
 
-    def kernel_guest(
-        self, threads: int = 1, seed: int = 0, repeats: int = 1
-    ) -> GuestWorkload:
+    def kernel_guest(self, repeats: int = 1) -> GuestWorkload:
         """A :class:`GuestWorkload` backed by real per-thread kernel traces.
 
         ``repeats`` replays each thread's kernel trace that many times
@@ -123,8 +156,7 @@ class Workload:
         _validate_repeats(repeats)
 
         def thread_streams(n: int) -> list:
-            runs = [self.run_kernel(t, n, seed) for t in range(n)]
-            return [_repeated_stream(r.trace, repeats) for r in runs]
+            return [_repeated_stream(run.trace, repeats) for run in self.thread_runs(n)]
 
         return GuestWorkload(
             name=self.name,

@@ -7,30 +7,26 @@ from repro.workloads.base import Workload
 from repro.workloads.profiles import CATEGORIES, PAPER_TABLE1, memory_model
 
 
+def thread_args(threads: int) -> list[dict]:
+    """Every thread's kernel arguments: one mapping, the same for all."""
+    # Category A: all threads run the identical search over the same
+    # genotype matrix (one dataset seed, one shared arena base), so
+    # their traces are identical and a capture runs the kernel once.
+    return [
+        {"n_sequences": 120, "length": 10, "seed": 7} for _ in range(threads)
+    ]
+
+
 def build() -> Workload:
     """The SNP workload (Section 2.1): hill-climbing BN learning."""
-
-    def kernel_factory(thread_id: int, threads: int, seed: int):
-        def kernel(recorder, arena):
-            # All threads search the same genotype matrix (category A);
-            # each explores from a different operation ordering.
-            return traced_snp_kernel(
-                recorder,
-                arena,
-                n_sequences=120,
-                length=10,
-                seed=7,  # shared dataset: identical addresses across threads
-            )
-
-        return kernel
-
     return Workload(
         name="SNP",
         description="Bayesian-network structure learning on SNP genotype "
         "sequences via hill climbing (HGBASE-like data).",
         category=CATEGORIES["SNP"],
         model=memory_model("SNP"),
-        kernel_factory=kernel_factory,
+        kernel=traced_snp_kernel,
+        thread_args=thread_args,
         table1_parameters=PAPER_TABLE1["SNP"][0],
         table1_dataset=PAPER_TABLE1["SNP"][1],
     )

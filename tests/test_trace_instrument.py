@@ -41,6 +41,28 @@ class TestTraceRecorder:
         recorder.record(0x2, AccessKind.READ)
         assert list(recorder.trace().addresses) == [0x1, 0x10, 0x18, 0x2]
 
+    def test_records_ranges_and_gathers_from_one_kernel_keep_order(self):
+        recorder = TraceRecorder()
+        vector = TracedArray(np.arange(8, dtype=np.float64), recorder, base=0x1000, pc=7)
+        matrix = TracedArray(np.zeros((2, 4)), recorder, base=0x2000, pc=9)
+        vector[1]
+        matrix[1, 1:3] = 5.0
+        recorder.record(0x40, AccessKind.WRITE, pc=3)
+        vector.gather([5, 0])
+        vector[7] = 1.0
+        matrix[:, 0]
+        trace = recorder.trace()
+        assert trace.addresses.tolist() == [
+            0x1008, 0x2028, 0x2030, 0x40, 0x1028, 0x1000, 0x1038, 0x2000, 0x2020,
+        ]
+        assert trace.kinds.tolist() == [0, 1, 1, 1, 0, 0, 1, 0, 0]
+        assert trace.pcs.tolist() == [7, 9, 9, 3, 7, 7, 7, 9, 9]
+        assert trace.cores.tolist() == [0] * 9
+        assert (trace.addresses.dtype, trace.kinds.dtype, trace.pcs.dtype) == (
+            np.uint64, np.uint8, np.uint64,
+        )
+        assert recorder.instruction_count == 9
+
 
 class TestMemoryArena:
     def test_disjoint_allocations(self):
@@ -104,6 +126,26 @@ class TestTracedArray:
         assert len(trace) == 4
         deltas = np.diff(trace.addresses.astype(np.int64))
         assert all(d == 5 * 8 for d in deltas)
+
+    def test_negative_row_and_column_slices_stay_in_the_buffer(self):
+        recorder = TraceRecorder()
+        array = TracedArray(np.zeros((4, 8)), recorder, base=0x1000_0000)
+        array[-1, :]
+        array[:, -1] = 1.0
+        trace = recorder.trace()
+        assert trace.addresses.tolist() == [0x1000_00C0 + 8 * i for i in range(8)] + [
+            0x1000_0038 + 64 * i for i in range(4)
+        ]
+
+    @pytest.mark.parametrize(
+        "index",
+        [(4, slice(None)), (-5, slice(None)), (slice(None), 8), (slice(None), -9)],
+    )
+    def test_out_of_range_slice_index_rejected(self, index):
+        array, recorder = self.make(shape=(4, 8))
+        with pytest.raises(TraceError):
+            array[index]
+        assert recorder.access_count == 0
 
     def test_1d_slice_write(self):
         array, recorder = self.make()

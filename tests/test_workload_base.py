@@ -1,12 +1,30 @@
 """Tests for the Workload abstraction: kernels, synthetic traces, guests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.harness.replay import capture_replay_log
 from repro.trace.stats import footprint_bytes
 from repro.workloads import WORKLOAD_NAMES, all_workloads, get_workload
 from repro.workloads.base import PRIVATE_THREAD_SPACING, SHARED_ARENA_BASE
+
+#: Workloads whose threads all call the kernel with equal arguments on
+#: one arena base; the others differ per thread.
+ONE_KERNEL_PER_CAPTURE = {"SNP", "SVM-RFE", "MDS", "RSEARCH"}
+TRACE_COLUMNS = ("addresses", "kinds", "cores", "pcs")
+
+
+def counting_kernel(workload, calls: list):
+    """``workload`` with a kernel that appends its arguments to ``calls``."""
+
+    def kernel(recorder, arena, **args):
+        calls.append(args)
+        return workload.kernel(recorder, arena, **args)
+
+    return dataclasses.replace(workload, kernel=kernel)
 
 
 class TestRegistry:
@@ -64,6 +82,67 @@ class TestKernelRuns:
         assert shot._arena_base(1) == SHARED_ARENA_BASE + PRIVATE_THREAD_SPACING
         fimi = get_workload("FIMI")
         assert fimi._arena_base(1) == SHARED_ARENA_BASE
+
+
+class TestThreadRuns:
+    """A capture runs each distinct per-thread kernel once."""
+
+    @pytest.mark.parametrize("threads", [1, 3, 4, 16])
+    @pytest.mark.parametrize("name", list(WORKLOAD_NAMES))
+    def test_every_thread_equals_its_own_kernel_run(self, name, threads):
+        workload = get_workload(name)
+        runs = workload.thread_runs(threads)
+        assert len(runs) == threads
+        for thread_id, run in enumerate(runs):
+            reference = workload.run_kernel(thread_id, threads)
+            assert run.instructions == reference.instructions
+            for column in TRACE_COLUMNS:
+                np.testing.assert_array_equal(
+                    getattr(run.trace, column), getattr(reference.trace, column)
+                )
+
+    @pytest.mark.parametrize("name", list(WORKLOAD_NAMES))
+    def test_threads_with_equal_inputs_share_one_run(self, name):
+        calls = []
+        threads = 16
+        runs = counting_kernel(get_workload(name), calls).thread_runs(threads)
+        expected = 1 if name in ONE_KERNEL_PER_CAPTURE else threads
+        assert len(calls) == expected
+        assert len({id(run) for run in runs}) == expected
+
+    def test_fimi_generates_its_transactions_once(self, monkeypatch):
+        from repro.workloads import fimi
+
+        generated = []
+        original = fimi.transactions
+
+        def counting_transactions(**kwargs):
+            generated.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(fimi, "transactions", counting_transactions)
+        get_workload("FIMI").thread_runs(16)
+        assert len(generated) == 1
+
+    def test_back_to_back_captures_each_run_their_kernels(self):
+        calls = []
+        guest = counting_kernel(get_workload("MDS"), calls).kernel_guest()
+        first = capture_replay_log(guest, 4)
+        assert len(calls) == 1
+        second = capture_replay_log(guest, 4)
+        assert len(calls) == 2
+        assert first.content_digest() == second.content_digest()
+
+    def test_shared_trace_arrays_are_read_only(self):
+        runs = get_workload("MDS").thread_runs(2)
+        assert runs[0] is runs[1]
+        for column in TRACE_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(runs[1].trace, column)[0] = 1
+
+    def test_run_kernel_rejects_a_thread_outside_the_count(self):
+        with pytest.raises(ConfigurationError):
+            get_workload("SNP").run_kernel(thread_id=2, threads=2)
 
 
 class TestSyntheticTraces:
