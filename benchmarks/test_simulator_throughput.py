@@ -169,15 +169,15 @@ def _seed_stack_distances(chunk, line_size=64):
 
 
 def test_stack_distance_speedup_over_seed_path(bench_record):
-    """The Olken-optimization floor: ≥1.25x over the seed path.
+    """The Olken-optimization floor: ≥4x over the seed path.
 
-    The optimized path precomputes previous occurrences vectorized,
-    replaces the minuend prefix sum with a cumulative distinct count,
-    and tracks superseded positions in a flat int64 Fenwick array (one
-    walk + one update per warm access, nothing for cold ones).  It must
-    return bit-identical distances, and do so measurably faster on a
-    reuse-heavy trace; the ~1.9x typically measured is asserted at 1.25x
-    to keep the floor loaded-machine-safe.
+    The seed path walks a Fenwick tree in Python once per access.  The
+    current path has no per-access Python code: one stable argsort
+    finds every previous occurrence, and a wavelet matrix counts every
+    distance at once, one numpy rank step per bit of the trace length.
+    It must return bit-identical distances, and do so much faster on a
+    reuse-heavy trace; the ~10x typically measured is asserted at 4x to
+    keep the floor loaded-machine-safe.
     """
     trace = TraceChunk.concatenate(
         [
@@ -200,7 +200,7 @@ def test_stack_distance_speedup_over_seed_path(bench_record):
         accesses_per_second=round(len(trace) / fast_time),
         speedup_over_seed=round(speedup, 2),
     )
-    assert speedup >= 1.25, f"stack-distance speedup {speedup:.2f}x < 1.25x"
+    assert speedup >= 4.0, f"stack-distance speedup {speedup:.2f}x < 4x"
 
 
 def _timed(fn, *args):

@@ -9,7 +9,7 @@ the same line) is below C.  One profile therefore yields the entire
 MPKI-versus-capacity curve.
 
 * :mod:`repro.reuse.olken` — exact stack distances from traces
-  (order-statistic/Fenwick tree, O(N log N));
+  (offline wavelet-matrix dominance count, O(N log N));
 * :mod:`repro.reuse.histogram` — profiles: weighted stack-distance
   distributions, composable across phases and components;
 * :mod:`repro.reuse.model` — MPKI curves from profiles, plus the

@@ -1,4 +1,4 @@
-"""Exact LRU stack distances (Olken's algorithm).
+"""Exact LRU stack distances, counted offline for a whole chunk.
 
 For each access, the stack distance is the number of *distinct* lines
 referenced since the previous reference to the same line; cold (first)
@@ -7,30 +7,34 @@ references get :data:`COLD`.  A fully-associative LRU cache of capacity
 bridge between trace simulation and the analytic models — and the
 property the test suite verifies against :class:`FullyAssociativeLRU`.
 
-The textbook formulation keeps a Fenwick tree holding a 1 at the
-last-reference time of every tracked line and, per access, *moves* the
-one from the previous reference to the current time (two point updates)
-and takes the difference of two prefix sums.  This implementation
-batches everything batchable and halves the sequential tree work:
+Olken's algorithm walks a tree once per access.  A chunk is known in
+full, so this module answers every access at once instead.  Let
+``prev[t]`` be the index of the previous access to access ``t``'s line
+(-1 when cold).  An access ``q`` strictly between ``p = prev[t]`` and
+``t`` is the first touch of its line in that window exactly when
+``prev[q] < p``, and every ``q <= p`` has ``prev[q] < p``.  So for a
+warm access::
 
-* previous-occurrence times are computed for the whole chunk up front
-  with one ``np.unique(..., return_inverse=True)`` plus a stable
-  argsort — no per-access dict probes;
-* the minuend ``prefix_sum(t - 1)`` is just the number of distinct
-  lines seen so far (every tracked line contributes exactly one 1), so
-  it comes from one vectorized ``cumsum`` over the cold mask instead of
-  a tree walk;
-* the tree tracks *superseded* last-use positions instead of current
-  ones.  When access ``t`` re-references the line last used at ``p``,
-  position ``p`` stops being a last use — one ``add(p, +1)``.  The
-  number of still-current positions ``<= p`` is then
-  ``(p + 1) - prefix_sum(p)``, so each non-cold access costs one walk
-  plus one update (the classic tree pays two of each), and cold
-  accesses never touch the tree at all.
+    distance[t] = #{q < t : prev[q] < p} - (p + 1)
 
-The tree itself is a flat ``numpy.int64`` array; the sequential
-walk/update loop is the only part of the algorithm that is inherently
-serial.  ``benchmarks/test_simulator_throughput.py`` holds a throughput
+The count is a two-dimensional dominance count: earlier in time and
+smaller in ``prev``.  A wavelet matrix over the sequence ``prev + 1``
+(Claude and Navarro, "The Wavelet Matrix", SPIRE 2012) answers it for
+every access together.  It has one level per bit, most significant
+first.  Each level stores its bit of every value, in the order the
+level above leaves them after a stable partition on its own bit (zeros
+first); the number of zeros before a position says where a range lands
+on the next level.  Following the range ``[0, t)`` down with the bits
+of ``prev[t] + 1``, each level where that bit is 1 adds the zeros
+inside the range: the earlier accesses that agree on every higher bit
+and are smaller at this one.  The range end is always access ``t``'s
+own position, so only the range start needs tracking.
+
+Cost: :func:`previous_occurrences` is one stable argsort, and the count
+is one level per bit of ``N`` with O(N) numpy work each (a scatter, a
+cumulative sum, two gathers and a few elementwise operations).  No
+Python code runs per access.  Index arrays are int32 while ``N``
+allows.  ``benchmarks/test_simulator_throughput.py`` holds a throughput
 floor over this path.
 """
 
@@ -47,16 +51,14 @@ COLD: int = -1
 def previous_occurrences(lines: np.ndarray) -> np.ndarray:
     """Index of each access's previous same-line access (-1 when cold).
 
-    Vectorized: group accesses by line with one stable argsort of the
-    ``np.unique`` inverse, then link neighbours within each group.
+    Vectorized: one stable argsort of the line values orders each
+    line's accesses by time, so neighbours with equal lines link.
     """
-    n = len(lines)
-    previous = np.full(n, -1, dtype=np.int64)
-    if n < 2:
-        return previous
-    _, inverse = np.unique(np.asarray(lines), return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    same_line = inverse[order[1:]] == inverse[order[:-1]]
+    lines = np.asarray(lines)
+    previous = np.full(len(lines), -1, dtype=np.int64)
+    order = np.argsort(lines, kind="stable")
+    ordered = lines[order]
+    same_line = ordered[1:] == ordered[:-1]
     previous[order[1:][same_line]] = order[:-1][same_line]
     return previous
 
@@ -67,44 +69,29 @@ def stack_distances(chunk: TraceChunk, line_size: int = 64) -> np.ndarray:
     Returns an int64 array; cold references are :data:`COLD`.
     Distances are in cache lines.
     """
-    lines = chunk.lines(line_size)
-    n = len(lines)
-    result = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return result
-    previous = previous_occurrences(lines)
-    warm = previous >= 0
-    if not warm.any():
-        return result
-    # distinct[t] = lines seen before access t = prefix_sum over the
-    # tracked-line ones at time t (the minuend of the textbook form).
-    distinct = np.cumsum(~warm) - (~warm)
-    # Fenwick tree (1-based) over superseded last-use positions.  The
-    # walk loop reads/writes it through a memoryview: scalar indexing
-    # then yields native ints instead of boxed numpy scalars, which is
-    # ~40% faster without giving up the flat int64 storage.
-    tree_array = np.zeros(n + 1, dtype=np.int64)
-    tree = memoryview(tree_array)
-    times = np.flatnonzero(warm)
-    warm_distinct = distinct[times].tolist()
-    warm_previous = previous[times].tolist()
-    warm_result = []
-    note = warm_result.append
-    for seen, p in zip(warm_distinct, warm_previous):
-        # Current last-use positions <= p: (p + 1) minus superseded ones.
-        i = p + 1
-        superseded = 0
-        while i > 0:
-            superseded += tree[i]
-            i -= i & (-i)
-        note(seen - (p + 1) + superseded)
-        # Position p is no longer a last use.
-        i = p + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & (-i)
-    result[times] = warm_result
-    return result
+    previous = previous_occurrences(chunk.lines(line_size))
+    n = len(previous)
+    # Every intermediate below stays under 2n.
+    index = np.int32 if n < 1 << 30 else np.int64
+    value = (previous + 1).astype(index)
+    position = np.arange(n, dtype=index)  # range end: the access itself
+    start = np.zeros(n, dtype=index)  # range start
+    smaller = np.zeros(n, dtype=index)  # #{q < t : prev[q] < prev[t]}
+    zeros_before = np.zeros(n + 1, dtype=index)
+    level_zero = np.empty(n, dtype=bool)
+    for shift in range((n - 1).bit_length() - 1, -1, -1):
+        bit = (value >> shift) & 1
+        level_zero[position] = bit == 0
+        np.cumsum(level_zero, out=zeros_before[1:])
+        zeros = zeros_before[n]
+        start_rank = zeros_before.take(start)
+        end_rank = zeros_before.take(position)
+        smaller += bit * (end_rank - start_rank)
+        # Zeros move to the front, ones after all zeros (an arithmetic
+        # select: np.where is several times slower on random bits).
+        start = start_rank + bit * (zeros + start - 2 * start_rank)
+        position = end_rank + bit * (zeros + position - 2 * end_rank)
+    return np.where(previous >= 0, smaller - previous - 1, COLD)
 
 
 def miss_count(distances: np.ndarray, capacity_lines: int, count_cold: bool = True) -> int:

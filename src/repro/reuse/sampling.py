@@ -1,9 +1,10 @@
 """Sampled stack-distance analysis (SHARDS-style).
 
-Exact stack distances cost O(N log N) with a large constant in Python;
-for long traces that dominates experiment turnaround.  The fixed-rate
-spatial-sampling estimator (Waldspurger et al.'s SHARDS) cuts the cost
-by analysing only a hash-selected subset of *lines*:
+Exact stack distances (:mod:`repro.reuse.olken`) cost a stable sort
+plus one vectorized pass per bit of the trace length, about a second
+per million accesses on a 2-vCPU VM.  The fixed-rate spatial-sampling
+estimator (Waldspurger et al.'s SHARDS) cuts that cost by analysing
+only a hash-selected subset of *lines*:
 
 * a line is sampled iff ``hash(line) mod M < R·M`` — every access to a
   sampled line is analysed, accesses to unsampled lines are skipped

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Vectorized log-gamma (scipy is outside the dependency envelope).
+#: Vectorized log-gamma.  ``math.lgamma`` rather than scipy's
+#: ``gammaln``: the hit curve feeds every sampled estimate, so a
+#: different log-gamma could move sampled result digests.
 gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
 
 from repro.reuse.olken import COLD, previous_occurrences, stack_distances
@@ -285,7 +287,7 @@ def _associative_hit_curve(
         curve = (d <= assoc - 1).astype(np.float64)
         return np.concatenate([[0.0], curve])
     # Binomial CDF P(X <= assoc-1), X ~ B(d, 1/sets), via log-space
-    # terms (d reaches 2^33; no scipy in the dependency envelope).
+    # terms (d reaches 2^33).
     log_p = -np.log(sets)
     log_q = np.log1p(-1.0 / sets)
     j = np.arange(assoc, dtype=np.float64)

@@ -3,6 +3,8 @@
 These cover the identities everything else rests on:
 
 * stack distance >= capacity  <=>  fully-associative LRU miss;
+* the vectorized stack distances and previous occurrences equal their
+  brute-force references;
 * LRU inclusion (bigger caches never miss more);
 * the banked Dragonhead equals a monolithic cache of the same geometry;
 * message codec round-trips;
@@ -19,10 +21,11 @@ from repro.cache.cache import CacheConfig, FullyAssociativeLRU, SetAssociativeCa
 from repro.cache.coherence import CoherentCacheSystem
 from repro.protocol import Message, MessageCodec, MessageKind
 from repro.reuse.histogram import ReuseProfile
-from repro.reuse.olken import miss_count, stack_distances
+from repro.reuse.olken import miss_count, previous_occurrences, stack_distances
 from repro.trace.record import AccessKind, TraceChunk
 from repro.trace.stream import materialize, round_robin_interleave
 from repro.units import KB
+from tests.test_reuse_olken import naive_stack_distances
 
 # Strategy: short line-address traces over a small footprint, so
 # capacities in the interesting range are exercised quickly.
@@ -42,6 +45,31 @@ class TestStackDistanceLRUEquivalence:
         cache = FullyAssociativeLRU(capacity_lines=capacity)
         cache.access_chunk(chunk)
         assert miss_count(distances, capacity) == cache.stats.misses
+
+
+# Line streams over a span drawn from {2, 64, 10**6}, so few-line,
+# typical and (mostly) all-cold streams all occur.
+line_streams = st.sampled_from([2, 64, 10**6]).flatmap(
+    lambda span: st.lists(st.integers(0, span - 1), min_size=1, max_size=300)
+)
+
+
+class TestStackDistanceReferences:
+    @given(lines=line_streams)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive(self, lines):
+        chunk = TraceChunk([line * 64 for line in lines])
+        assert stack_distances(chunk, 64).tolist() == naive_stack_distances(lines)
+
+    @given(lines=line_streams)
+    @settings(max_examples=100, deadline=None)
+    def test_previous_occurrences_match_last_seen_dict(self, lines):
+        last_seen: dict[int, int] = {}
+        expected = []
+        for t, line in enumerate(lines):
+            expected.append(last_seen.get(line, -1))
+            last_seen[line] = t
+        assert previous_occurrences(np.array(lines)).tolist() == expected
 
 
 class TestLRUInclusion:

@@ -1,11 +1,20 @@
 """Tests for exact stack-distance computation."""
 
 import numpy as np
+import pytest
 
 from repro.cache.cache import FullyAssociativeLRU
-from repro.reuse.olken import COLD, miss_count, miss_curve, stack_distances
+from repro.harness.replay import capture_replay_log
+from repro.reuse.olken import (
+    COLD,
+    miss_count,
+    miss_curve,
+    previous_occurrences,
+    stack_distances,
+)
 from repro.trace.generators import Region, cyclic_scan, uniform_random, zipf_random
 from repro.trace.record import TraceChunk
+from repro.workloads.registry import get_workload
 
 
 def naive_stack_distances(lines: list[int]) -> list[int]:
@@ -54,6 +63,57 @@ class TestStackDistances:
 
     def test_empty(self):
         assert len(stack_distances(TraceChunk.empty())) == 0
+
+
+def _distances(lines: list[int]) -> list[int]:
+    return stack_distances(TraceChunk([line * 64 for line in lines]), 64).tolist()
+
+
+class TestEdgeCases:
+    """The wavelet count against the brute-force reference where it is
+    most likely to slip: degenerate streams and level-count boundaries."""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [7],
+            list(range(50)),
+            [3] * 50,
+            [1, 2] * 25,
+            list(range(40)) * 3,
+        ],
+        ids=["one-access", "all-cold", "one-line", "alternating", "cyclic-scan"],
+    )
+    def test_degenerate_streams(self, lines):
+        assert _distances(lines) == naive_stack_distances(lines)
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 4095, 4096, 4097])
+    def test_level_count_boundaries(self, n):
+        # The level count is the bit length of n - 1, the largest value
+        # prev + 1 can take; re-referencing the line just before the
+        # last access puts that value in.
+        lines = np.random.default_rng(n).integers(0, 48, n)
+        lines[-1] = lines[-2]
+        lines = lines.tolist()
+        assert _distances(lines) == naive_stack_distances(lines)
+
+
+class TestCapturedStream:
+    """Spot checks on a captured stream too long for the naive reference."""
+
+    def test_warm_distances_count_distinct_lines_in_window(self):
+        guest = get_workload("FIMI").synthetic_guest(accesses_per_thread=8192)
+        chunk = capture_replay_log(guest, 4).to_chunk()
+        assert len(chunk) >= 30_000
+        lines = chunk.lines(64)
+        distances = stack_distances(chunk, 64)
+        previous = previous_occurrences(lines)
+        assert np.all(distances[previous < 0] == COLD)
+        warm = np.flatnonzero(previous >= 0)
+        for t in np.random.default_rng(17).choice(warm, size=500, replace=False):
+            window = lines[previous[t] + 1 : t]
+            assert lines[previous[t]] == lines[t] and lines[t] not in window
+            assert distances[t] == len(np.unique(window))
 
 
 class TestMissEquivalence:
