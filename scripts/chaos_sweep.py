@@ -19,8 +19,9 @@ This script is the claim's executable proof, and what the CI
 
 ``--quarantine-smoke`` runs the other half of the robustness story:
 a poison point (kills every worker that touches it) must end up
-``quarantined`` in the ledger — with the sweep degrading gracefully —
-instead of eating respawned workers forever.
+``quarantined`` in the ledger — with the sweep failing on a
+``SweepPointError`` caused by the quarantine — instead of eating
+respawned workers forever.
 
 Exit codes: 0 success; 1 identity or ledger-accounting violation;
 2 bad configuration; 3 the kill quota could not be delivered (the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pickle
 import signal
@@ -48,6 +48,7 @@ from pathlib import Path
 # Runnable straight from a checkout: scripts/ sits next to src/.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.errors import QuarantinedPointError, SweepPointError  # noqa: E402
 from repro.faults.spec import FaultSpec  # noqa: E402
 from repro.harness.executors import tasks  # noqa: E402
 from repro.harness.executors.base import FabricConfig  # noqa: E402
@@ -210,10 +211,15 @@ def run_quarantine_smoke(args: argparse.Namespace) -> int:
             lease_ttl=min(args.lease_ttl, 0.5),
             quarantine_after=2,
         )
-        policy = SupervisorPolicy(failure_value=float("nan"))
         journal = FabricLedger(ledger_path)
-        with supervise(policy, journal=journal, fabric=fabric) as context:
-            results = supervised_map(tasks.poison_point, grid)
+        error = None
+        try:
+            with supervise(
+                SupervisorPolicy(), journal=journal, fabric=fabric
+            ) as context:
+                supervised_map(tasks.poison_point, grid)
+        except SweepPointError as raised:
+            error = raised
         print(f"  events: {context.describe()}")
 
         quarantined = []
@@ -227,13 +233,14 @@ def run_quarantine_smoke(args: argparse.Namespace) -> int:
                     quarantined.append(row)
 
     failures = []
+    if error is None:
+        failures.append("the poison point did not fail the sweep")
+    elif not isinstance(error.cause, QuarantinedPointError):
+        failures.append(f"expected a quarantine, got {error.cause!r}")
     if not quarantined:
         failures.append("no quarantined record in the ledger")
     if context.counts.get("fabric-quarantined", 0) < 1:
         failures.append("driver never counted fabric-quarantined")
-    if not (len(results) == 1 and isinstance(results[0], float)
-            and math.isnan(results[0])):
-        failures.append(f"expected [nan] degraded result, got {results!r}")
     if failures:
         for problem in failures:
             print(f"FAIL: {problem}")
@@ -241,7 +248,7 @@ def run_quarantine_smoke(args: argparse.Namespace) -> int:
     dead = quarantined[0].get("dead_workers", [])
     print(
         f"OK: poison point quarantined after killing {len(dead)} worker(s) "
-        f"({', '.join(dead)}); sweep degraded to nan instead of spinning"
+        f"({', '.join(dead)}); the sweep failed instead of spinning"
     )
     return 0
 

@@ -216,16 +216,12 @@ def quantum_ablation(
     return results
 
 
-def main(jobs: int | None = None, trace_cache: TraceCache | None = None) -> None:
+def main(trace_cache: TraceCache | None = None) -> None:
     """Print all four ablation tables.
 
-    ``jobs`` is accepted for runner uniformity; each ablation replays
-    stateful simulations whose points build on shared cache state, so
-    there is no independent grid to fan out.  ``trace_cache`` lets the
-    exact-path ablations (1 and 4) reuse their captured traffic across
-    invocations.
+    ``trace_cache`` lets the exact-path ablations (1 and 4) reuse their
+    captured traffic across invocations.
     """
-    del jobs
     print(
         render_table(
             ["Policy", "miss ratio"],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.experiment import ALL_CMPS, CMPConfig
-from repro.harness.parallel import parallel_map
 from repro.harness.report import render_table
 from repro.perf.bandwidth import BusModel
 from repro.perf.cpi import cpi_stack
@@ -37,9 +36,10 @@ class BandwidthRow:
     bus_utilization: float
 
 
-def _bandwidth_row(task: tuple[str, CMPConfig, int, BusModel]) -> BandwidthRow:
-    """One (workload × CMP) bandwidth point (picklable task)."""
-    name, cmp_config, llc_size, bus = task
+def _bandwidth_row(
+    name: str, cmp_config: CMPConfig, llc_size: int, bus: BusModel
+) -> BandwidthRow:
+    """One (workload × CMP) bandwidth point."""
     model = memory_model(name)
     mpki = model.llc_mpki(llc_size, 64, cmp_config.cores)
     cpi = cpi_stack(name, model.dl1_mpki(), model.dl2_mpki()).total
@@ -58,16 +58,14 @@ def generate(
     llc_size: int = 32 * MB,
     bus: BusModel | None = None,
     cmps: tuple[CMPConfig, ...] = ALL_CMPS,
-    jobs: int | None = None,
 ) -> list[BandwidthRow]:
     """Demand bandwidth of each workload at a 32 MB LLC on each CMP."""
     bus = bus or BusModel()
-    tasks = [
-        (name, cmp_config, llc_size, bus)
+    return [
+        _bandwidth_row(name, cmp_config, llc_size, bus)
         for cmp_config in cmps
         for name in WORKLOAD_NAMES
     ]
-    return parallel_map(_bandwidth_row, tasks, jobs=jobs)
 
 
 def measured_demand(
@@ -135,7 +133,6 @@ def measured_demand(
 
 
 def main(
-    jobs: int | None = None,
     trace_cache: "TraceCache | None" = None,
     sample: "SampleSpec | None" = None,
 ) -> None:
@@ -145,7 +142,7 @@ def main(
     simulation: the table is labelled ``[sampled]`` and its MPKI cells
     carry error bars.
     """
-    rows = generate(jobs=jobs)
+    rows = generate()
     by_cmp: dict[str, list[BandwidthRow]] = {}
     for row in rows:
         by_cmp.setdefault(row.cmp_name, []).append(row)

@@ -205,113 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(injected faults, recovered anomalies, or lenient-mode audit "
         "violations)",
     )
-    add_sweep_arguments(parser)
-    return parser
-
-
-def add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The flags all three CLIs take, defined once.
-
-    Workers, per-point supervision, the resource budget, the trace
-    cache and telemetry mean the same in ``repro-cosim``,
-    ``repro-runall`` and ``repro-serve``.
-    """
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per sweep or replay pass (default: "
-        "serial; 0 means one per CPU); results are byte-identical to a "
-        "serial run",
-    )
-    parser.add_argument(
-        "--trace-cache",
-        metavar="DIR",
-        default=None,
-        help="persist captured traces under DIR and reuse them across "
-        "invocations (default: $REPRO_TRACE_CACHE; 'off' disables)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-point wall-clock budget for sweep and replay-pass "
-        "workers (needs --jobs > 1 to be enforceable; refused with "
-        "--executor shard)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-runs granted to a failing sweep point (default: 2)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run-level wall-clock budget; expiry drains the run like "
-        "Ctrl-C and exits 124",
-    )
-    parser.add_argument(
-        "--disk-quota",
-        metavar="SIZE",
-        default=None,
-        help="bytes the trace cache may occupy, e.g. 512MB; over quota "
-        "the least-recently-used cached traces are evicted (they "
-        "regenerate on demand)",
-    )
-    parser.add_argument(
-        "--mem-budget",
-        metavar="SIZE",
-        default=None,
-        help="process maxrss high-water mark, e.g. 2GB; once breached, "
-        "supervised maps clamp to serial execution and the breach is "
-        "recorded as degradation",
-    )
-    parser.add_argument(
-        "--telemetry",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="EVENTS.jsonl",
-        help="enable the telemetry subsystem (spans, metric registry, "
-        "live 500µs-window stream); with a path, also log every metric "
-        "and span to EVENTS.jsonl.  Off by default — telemetry-off runs "
-        "are byte-identical to builds without the subsystem",
-    )
-    parser.add_argument(
-        "--metrics-file",
-        metavar="FILE",
-        default=None,
-        help="write the final registry state to FILE in Prometheus text "
-        "exposition format (atomic replace; implies --telemetry)",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="FILE",
-        help="print the end-of-run profile (per-phase wall time, "
-        "accesses/sec, trace-cache hit rate, supervisor events); with a "
-        "path, also write it as JSON (implies --telemetry)",
-    )
-
-
-def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """The run flags plus those only the two sweep CLIs take.
-
-    Where sweep points execute, and how a sweep resumes, mean the same
-    in ``repro-cosim`` and ``repro-runall``.  Flags whose meaning
-    differs per CLI (``--journal``, ``--lenient``, ``--inject``,
-    ``--sample``, ``--audit``, ``--fail-on-degraded``) stay with each
-    parser.
-    """
     add_run_arguments(parser)
+    add_worker_arguments(parser)
     parser.add_argument(
         "--executor",
         choices=list(EXECUTOR_NAMES),
@@ -344,21 +239,107 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "sweep drained by Ctrl-C or --deadline keeps its completed "
         "points there, and --resume finishes it byte-identically",
     )
+    return parser
 
 
-def parse_sweep_args(
-    parser: argparse.ArgumentParser, argv: list[str] | None
-) -> argparse.Namespace:
-    """Parse a sweep CLI's flags, refusing what no executor honours.
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags all three CLIs take, defined once.
 
-    Shard workers renew a running point's lease for as long as it
-    runs, so a per-point ``--timeout`` has nothing to enforce it on the
-    fabric: the combination is a usage error, before any work starts.
+    The trace cache, its disk quota and telemetry mean the same in
+    ``repro-cosim``, ``repro-runall`` and ``repro-serve``.
     """
-    args = parser.parse_args(argv)
-    if args.timeout is not None and args.executor == "shard":
-        parser.error("--timeout cannot be combined with --executor shard")
-    return args
+    parser.add_argument(
+        "--trace-cache",
+        metavar="DIR",
+        default=None,
+        help="persist captured traces under DIR and reuse them across "
+        "invocations (default: $REPRO_TRACE_CACHE; 'off' disables)",
+    )
+    parser.add_argument(
+        "--disk-quota",
+        metavar="SIZE",
+        default=None,
+        help="bytes the trace cache may occupy, e.g. 512MB; over quota "
+        "the least-recently-used cached traces are evicted (they "
+        "regenerate on demand)",
+    )
+    parser.add_argument(
+        "--telemetry",
+        nargs="?",
+        const=True,
+        default=False,
+        metavar="EVENTS.jsonl",
+        help="enable the telemetry subsystem (spans, metric registry, "
+        "live 500µs-window stream); with a path, also log every metric "
+        "and span to EVENTS.jsonl.  Off by default — telemetry-off runs "
+        "are byte-identical to builds without the subsystem",
+    )
+    parser.add_argument(
+        "--metrics-file",
+        metavar="FILE",
+        default=None,
+        help="write the final registry state to FILE in Prometheus text "
+        "exposition format (atomic replace; implies --telemetry)",
+    )
+    parser.add_argument(
+        "--profile",
+        nargs="?",
+        const=True,
+        default=False,
+        metavar="FILE",
+        help="print the end-of-run profile (per-phase wall time, "
+        "accesses/sec, trace-cache hit rate, supervisor events); with a "
+        "path, also write it as JSON (implies --telemetry)",
+    )
+
+
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of the two CLIs that run replay points on workers.
+
+    Workers, per-point supervision and the run's time and memory
+    budget mean the same in ``repro-cosim`` and ``repro-serve``.
+    """
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes per sweep or replay pass (default: "
+        "serial; 0 means one per CPU); results are byte-identical to a "
+        "serial run",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-point wall-clock budget for sweep and replay-pass "
+        "workers (needs --jobs > 1 to be enforceable; refused with "
+        "--executor shard)",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="re-runs granted to a failing sweep point (default: 2)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="run-level wall-clock budget; expiry drains the run like "
+        "Ctrl-C and exits 124",
+    )
+    parser.add_argument(
+        "--mem-budget",
+        metavar="SIZE",
+        default=None,
+        help="process maxrss high-water mark, e.g. 2GB; once breached, "
+        "supervised maps clamp to serial execution and the breach is "
+        "recorded as degradation",
+    )
 
 
 def telemetry_requested(args: argparse.Namespace) -> bool:
@@ -367,7 +348,10 @@ def telemetry_requested(args: argparse.Namespace) -> bool:
 
 
 def build_budget(args: argparse.Namespace) -> ResourceBudget | None:
-    """The resource budget from CLI flags; None when no axis is set."""
+    """The resource budget from ``--disk-quota`` and the worker flags.
+
+    None when no axis is set.
+    """
     disk = parse_size(args.disk_quota) if args.disk_quota else None
     mem = parse_size(args.mem_budget) if args.mem_budget else None
     if disk is None and mem is None and args.deadline is None:
@@ -408,7 +392,7 @@ def build_fabric_config(args: argparse.Namespace) -> FabricConfig | None:
 def sweep_session(
     args: argparse.Namespace, fault_spec: FaultSpec | None = None
 ) -> AbstractContextManager[SupervisorContext]:
-    """The supervised sweep ``repro-cosim`` and ``repro-runall`` run in.
+    """The supervised sweep ``repro-cosim`` runs in.
 
     One journal, whichever executor runs: the ledger at ``--journal``,
     resumed under ``--resume``.  The pool records completed points in
@@ -424,15 +408,18 @@ def sweep_session(
 
 
 def run_cli(
-    body: Callable[[argparse.Namespace], int], args: argparse.Namespace
+    body: Callable[[argparse.Namespace], int],
+    args: argparse.Namespace,
+    budget: ResourceBudget | None,
 ) -> int:
     """Run one CLI invocation inside the lifecycle all three CLIs share.
 
-    Telemetry is configured around the resource governor, ``body``
-    does the work, and a sweep that stops early leaves with its
-    documented exit code, reported on stderr: a deadline drain 124, an
-    interrupt 130, a strict-mode audit violation 3 (bare, or as the
-    cause of a failed point), and any other point out of retries 5.
+    Telemetry is configured around the resource governor of
+    ``budget``, ``body`` does the work, and a sweep that stops early
+    leaves with its documented exit code, reported on stderr: a
+    deadline drain 124, an interrupt 130, a strict-mode audit violation
+    3 (bare, or as the cause of a failed point), and any other point
+    out of retries 5.
     """
     telemetry_on = telemetry_requested(args)
     if telemetry_on:
@@ -440,7 +427,7 @@ def run_cli(
             events_path=args.telemetry if isinstance(args.telemetry, str) else None
         )
     try:
-        with govern(build_budget(args)):
+        with govern(budget):
             return body(args)
     except DeadlineExpired as expired:
         # Before SweepInterrupted (its parent class): the drain is
@@ -492,8 +479,17 @@ def _emit_telemetry(args: argparse.Namespace, results) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one co-simulation (or a cache-size sweep) and print its readout."""
-    return run_cli(_main, parse_sweep_args(build_parser(), argv))
+    """Run one co-simulation (or a cache-size sweep) and print its readout.
+
+    Shard workers renew a running point's lease for as long as it
+    runs, so a per-point ``--timeout`` has nothing to enforce it on the
+    fabric: the combination is a usage error, before any work starts.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.timeout is not None and args.executor == "shard":
+        parser.error("--timeout cannot be combined with --executor shard")
+    return run_cli(_main, args, build_budget(args))
 
 
 def _resolve_spec(args: argparse.Namespace) -> JobSpec:

@@ -8,8 +8,9 @@ quarantine decisions — everything that must survive the driver dying.
 The driver owns what only the parent can do: placing the manifest and
 config, folding ledger records into the in-order results list,
 respawning dead worker processes toward the target shard count,
-exporting per-shard telemetry, and converting terminal records into
-the supervisor's degrade-or-raise policy.
+exporting per-shard telemetry, and raising
+:class:`~repro.errors.SweepPointError` for a point whose terminal
+record is a failure or a quarantine.
 
 The fabric enforces no per-point wall-clock budget.  A worker renews
 its lease from a heartbeat thread for as long as the point runs, so a
@@ -26,7 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable
 
-from repro.errors import QuarantinedPointError, SweepInterrupted
+from repro.errors import QuarantinedPointError, SweepInterrupted, SweepPointError
 from repro.harness.executors.base import FabricConfig, SubmittedPoint
 from repro.harness.executors.ledger import ensure_no_conflicts
 from repro.harness.executors.shard import ShardExecutor
@@ -61,7 +62,7 @@ def run_fabric(
     """Run the pending points of one map on the configured fabric."""
     # Imported here, not at module top: supervisor imports the executors
     # package, so the driver reaches back lazily to close the cycle.
-    from repro.harness.supervisor import _drain_report, _fail, _finish, check_deadline
+    from repro.harness.supervisor import _drain_report, _finish, check_deadline
 
     config: FabricConfig = context.fabric
     policy = context.policy
@@ -125,32 +126,16 @@ def run_fabric(
                     )
                 elif event.kind == "failed":
                     if (event.attempts or 1) > policy.retries:
-                        outstanding.discard(index)
-                        _fail(
-                            context,
-                            policy,
-                            keys,
-                            results,
-                            index,
-                            work[index],
-                            event.error,
-                            event.attempts or 1,
-                        )
-                    else:
-                        context.count("point-retry")
+                        raise SweepPointError(
+                            work[index], event.error, attempts=event.attempts or 1
+                        ) from event.error
+                    context.count("point-retry")
                 elif event.kind == "quarantined":
-                    outstanding.discard(index)
                     context.count("fabric-quarantined")
-                    _fail(
-                        context,
-                        policy,
-                        keys,
-                        results,
-                        index,
-                        work[index],
-                        QuarantinedPointError(keys[index], event.value or []),
-                        (event.attempts or 0) + 1,
-                    )
+                    cause = QuarantinedPointError(keys[index], event.value or [])
+                    raise SweepPointError(
+                        work[index], cause, attempts=(event.attempts or 0) + 1
+                    ) from cause
             if outstanding:
                 _tend_fleet(backend, context)
             if config.observer is not None:

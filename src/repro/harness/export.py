@@ -17,25 +17,12 @@ from repro.units import format_size
 
 
 def write_sweep_csv(figure: SweepFigure, path: str | os.PathLike) -> None:
-    """One row per workload, one column per swept axis value.
-
-    Sampled figures append a ``sampled`` flag column plus one error
-    column per axis value *after* the value columns, so consumers that
-    index columns positionally keep working on exact exports.
-    """
-    axes = [format_size(v) for v in figure.axis_values]
+    """One row per workload, one column per swept axis value."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        header = ["workload", *axes]
-        if figure.sampled:
-            header += ["sampled", *[f"err:{axis}" for axis in axes]]
-        writer.writerow(header)
+        writer.writerow(["workload", *[format_size(v) for v in figure.axis_values]])
         for name, values in figure.series.items():
-            row = [name, *[f"{v:.6g}" for v in values]]
-            if figure.sampled:
-                bars = (figure.errors or {}).get(name, (0.0,) * len(values))
-                row += ["1", *[f"{e:.6g}" for e in bars]]
-            writer.writerow(row)
+            writer.writerow([name, *[f"{v:.6g}" for v in values]])
 
 
 def write_table2_csv(path: str | os.PathLike) -> None:

@@ -12,14 +12,14 @@ from repro.harness.figures import SweepFigure, cache_sweep_figure
 from repro.units import format_size
 
 
-def generate(jobs: int | None = None) -> SweepFigure:
-    """Compute the Figure 4 data (optionally across worker processes)."""
-    return cache_sweep_figure(SCMP, 4, jobs=jobs)
+def generate() -> SweepFigure:
+    """Compute the Figure 4 data."""
+    return cache_sweep_figure(SCMP, 4)
 
 
-def main(jobs: int | None = None) -> None:
+def main() -> None:
     """Print the Figure 4 series and working-set knees."""
-    figure = generate(jobs=jobs)
+    figure = generate()
     print(figure.render())
     print()
     for name, knee in figure.knees.items():

@@ -12,14 +12,14 @@ from repro.harness.figures import SweepFigure, cache_sweep_figure
 from repro.units import format_size
 
 
-def generate(jobs: int | None = None) -> SweepFigure:
-    """Compute the Figure 5 data (optionally across worker processes)."""
-    return cache_sweep_figure(MCMP, 5, jobs=jobs)
+def generate() -> SweepFigure:
+    """Compute the Figure 5 data."""
+    return cache_sweep_figure(MCMP, 5)
 
 
-def main(jobs: int | None = None) -> None:
+def main() -> None:
     """Print the Figure 5 series and working-set knees."""
-    figure = generate(jobs=jobs)
+    figure = generate()
     print(figure.render())
     print()
     for name, knee in figure.knees.items():

@@ -14,9 +14,9 @@ from repro.harness.figures import SweepFigure, line_sweep_figure
 from repro.units import MB, PAPER_LINE_SWEEP
 
 
-def generate(jobs: int | None = None) -> SweepFigure:
-    """Compute the Figure 7 data (optionally across worker processes)."""
-    return line_sweep_figure(LCMP, 32 * MB, jobs=jobs)
+def generate() -> SweepFigure:
+    """Compute the Figure 7 data."""
+    return line_sweep_figure(LCMP, 32 * MB)
 
 
 def reduction_factors(figure: SweepFigure) -> dict[str, float]:
@@ -30,9 +30,9 @@ def reduction_factors(figure: SweepFigure) -> dict[str, float]:
     return factors
 
 
-def main(jobs: int | None = None) -> None:
+def main() -> None:
     """Print the Figure 7 series and reduction factors."""
-    figure = generate(jobs=jobs)
+    figure = generate()
     print(figure.render())
     print()
     print("MPKI reduction factor, 64B -> 256B lines:")

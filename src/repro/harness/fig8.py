@@ -25,19 +25,17 @@ class Fig8Row:
         return self.parallel.speedup_percent > self.serial.speedup_percent
 
 
-def generate(jobs: int | None = None) -> list[Fig8Row]:
+def generate() -> list[Fig8Row]:
     """Compute the Figure 8 data (serial + 16-thread gains)."""
     return [
         Fig8Row(workload=name, serial=serial, parallel=parallel)
-        for name, (serial, parallel) in prefetch_study(
-            threads_parallel=16, jobs=jobs
-        ).items()
+        for name, (serial, parallel) in prefetch_study(threads_parallel=16).items()
     ]
 
 
-def main(jobs: int | None = None) -> None:
+def main() -> None:
     """Print the Figure 8 prefetch-gain table."""
-    rows = generate(jobs=jobs)
+    rows = generate()
     print(
         render_table(
             ["Workload", "Serial gain", "16-thread gain", "Coverage", "16T headroom", "Bigger winner"],

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.experiment import CMPConfig, working_set_knee
-from repro.harness.parallel import parallel_map
 from repro.harness.report import render_series_table
 from repro.units import MB, PAPER_CACHE_SWEEP, PAPER_LINE_SWEEP, format_size
 from repro.workloads.profiles import WORKLOAD_NAMES, memory_model
@@ -20,12 +19,6 @@ class SweepFigure:
     axis_values: tuple[int, ...]
     series: dict[str, tuple[float, ...]]
     knees: dict[str, int | None]
-    #: True when the series came from sampled simulation — rendering and
-    #: CSV export label the exhibit so estimates are never mistaken for
-    #: exact measurements.
-    sampled: bool = False
-    #: Per-series error bars (same shape as ``series``) for sampled data.
-    errors: dict[str, tuple[float, ...]] | None = None
 
     def render(self) -> str:
         return render_series_table(
@@ -33,45 +26,18 @@ class SweepFigure:
             [format_size(v) for v in self.axis_values],
             {name: list(values) for name, values in self.series.items()},
             title=self.title,
-            errors=(
-                {name: list(values) for name, values in self.errors.items()}
-                if self.errors
-                else None
-            ),
-            sampled=self.sampled,
         )
 
 
-def _mpki_point(point: tuple[str, int, int, int]) -> float:
-    """One (workload × geometry) grid point; module-level so it pickles."""
-    name, threads, cache_size, line_size = point
-    return memory_model(name).llc_mpki(cache_size, line_size, threads)
-
-
-def _sweep_series(
-    axis_values: tuple[int, ...],
-    points: list[tuple[str, int, int, int]],
-    jobs: int | None,
-) -> dict[str, tuple[float, ...]]:
-    """Fan the grid out and regroup the flat results by workload."""
-    values = parallel_map(_mpki_point, points, jobs=jobs)
-    width = len(axis_values)
-    return {
-        name: tuple(values[i * width : (i + 1) * width])
-        for i, name in enumerate(WORKLOAD_NAMES)
-    }
-
-
-def cache_sweep_figure(
-    cmp_config: CMPConfig, figure_number: int, jobs: int | None = None
-) -> SweepFigure:
+def cache_sweep_figure(cmp_config: CMPConfig, figure_number: int) -> SweepFigure:
     """Figures 4-6: LLC MPKI versus cache size on one CMP."""
-    points = [
-        (name, cmp_config.threads, size, 64)
+    series = {
+        name: tuple(
+            memory_model(name).llc_mpki(size, 64, cmp_config.threads)
+            for size in PAPER_CACHE_SWEEP
+        )
         for name in WORKLOAD_NAMES
-        for size in PAPER_CACHE_SWEEP
-    ]
-    series = _sweep_series(PAPER_CACHE_SWEEP, points, jobs)
+    }
     knees = {
         name: working_set_knee(list(zip(PAPER_CACHE_SWEEP, values)))
         for name, values in series.items()
@@ -88,16 +54,15 @@ def cache_sweep_figure(
     )
 
 
-def line_sweep_figure(
-    cmp_config: CMPConfig, cache_size: int = 32 * MB, jobs: int | None = None
-) -> SweepFigure:
+def line_sweep_figure(cmp_config: CMPConfig, cache_size: int = 32 * MB) -> SweepFigure:
     """Figure 7: LLC MPKI versus line size at a 32 MB LLC on the LCMP."""
-    points = [
-        (name, cmp_config.threads, cache_size, line)
+    series = {
+        name: tuple(
+            memory_model(name).llc_mpki(cache_size, line, cmp_config.threads)
+            for line in PAPER_LINE_SWEEP
+        )
         for name in WORKLOAD_NAMES
-        for line in PAPER_LINE_SWEEP
-    ]
-    series = _sweep_series(PAPER_LINE_SWEEP, points, jobs)
+    }
     return SweepFigure(
         title=(
             f"Figure 7: line-size sensitivity on {cmp_config.name} with a "

@@ -1,18 +1,18 @@
 """Deterministic process-parallel execution of sweep grids.
 
-Every figure harness is a map over an embarrassingly parallel grid —
-(workload × cache size), (workload × line size), (workload × CMP) —
-whose points never share state.  :func:`parallel_map` is the name the
-harnesses call; it is a thin entry into the one map implementation,
+A replay pass over N cache configurations is a map over an
+embarrassingly parallel grid whose points never share state.
+:func:`parallel_map` is the name :func:`repro.harness.replay.replay_map`
+calls; it is a thin entry into the one map implementation,
 :func:`repro.harness.supervisor.supervised_map`, so a grid runs the
 same way whether or not anyone supervises it.  The output is
 byte-identical to a serial run because results are assembled in item
 order and every task is a pure function of its (picklable) argument
 tuple.
 
-``repro-runall --jobs N`` threads the worker count down through every
-exhibit's ``main(jobs=...)``; ``jobs=None`` (the default everywhere)
-means serial, in-process, and ``--jobs 0`` asks for one worker per CPU.
+``repro-cosim --jobs N`` and ``repro-serve --jobs N`` set the worker
+count; ``jobs=None`` means serial, in-process, and ``--jobs 0`` asks
+for one worker per CPU.
 
 Outside a :func:`~repro.harness.supervisor.supervise` context the map
 runs under a fresh context with ``retries=0``: the first failing point

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.experiment import XLCMP
-from repro.harness.parallel import parallel_map
 from repro.harness.report import render_table
 from repro.perf.dramcache import DramCacheResult, evaluate_dram_cache
 from repro.units import format_size
@@ -43,27 +42,22 @@ class ProjectionRow:
         return self.dram.benefits
 
 
-def _projection_row(task: tuple[str, int]) -> ProjectionRow:
-    """One workload's 128-core projection (picklable task)."""
-    name, threads = task
-    return ProjectionRow(
-        workload=name,
-        category=CATEGORIES[name],
-        footprint_128=memory_model(name).footprint_bytes(threads),
-        dram=evaluate_dram_cache(name, threads),
-    )
-
-
-def generate(threads: int = 128, jobs: int | None = None) -> list[ProjectionRow]:
+def generate(threads: int = 128) -> list[ProjectionRow]:
     """Project every workload to ``threads`` cores."""
-    return parallel_map(
-        _projection_row, [(name, threads) for name in WORKLOAD_NAMES], jobs=jobs
-    )
+    return [
+        ProjectionRow(
+            workload=name,
+            category=CATEGORIES[name],
+            footprint_128=memory_model(name).footprint_bytes(threads),
+            dram=evaluate_dram_cache(name, threads),
+        )
+        for name in WORKLOAD_NAMES
+    ]
 
 
-def main(jobs: int | None = None) -> None:
+def main() -> None:
     """Print the 128-core projection table and verdict."""
-    rows = generate(jobs=jobs)
+    rows = generate()
     print(
         render_table(
             [

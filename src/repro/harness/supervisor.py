@@ -1,15 +1,15 @@
 """Fault-tolerant supervised execution of sweep grids.
 
 :func:`supervised_map` is the one way a sweep grid runs.
-:func:`~repro.harness.parallel.parallel_map` delegates to it, and the
-CLIs install an ambient :class:`SupervisorContext` with
-:func:`supervise`.  A bare process pool loses a whole sweep to one
-worker exception, one hung point, or one ``BrokenProcessPool``.  The
-paper's platform could not afford that posture — a passive FPGA
-snooping a live bus *will* see faults — and neither can a long
-``repro-runall``.  This module is the harness-level counterpart of the
-lenient address filter: it assumes points can fail and makes the sweep
-survive them.
+:func:`~repro.harness.parallel.parallel_map` delegates to it, and
+``repro-cosim`` and the job server install an ambient
+:class:`SupervisorContext` with :func:`supervise`.  A bare process pool
+loses a whole sweep to one worker exception, one hung point, or one
+``BrokenProcessPool``.  The paper's platform could not afford that
+posture — a passive FPGA snooping a live bus *will* see faults — and
+neither can a long ``repro-cosim`` sweep.  This module is the
+harness-level counterpart of the lenient address filter: it assumes
+points can fail and makes the sweep survive them.
 
 Points run in-process (``jobs`` ≤ 1), on the local worker pool
 (:class:`~repro.harness.executors.local.LocalPoolExecutor`), or, when
@@ -22,7 +22,8 @@ supervisor adds
   pool respawned, and only the victim point re-queued;
 * **bounded retries with exponential backoff** — transient failures
   (including injected worker crashes and hangs) are re-run up to
-  ``retries`` times before the point is declared dead;
+  ``retries`` times before the point is declared dead and the sweep
+  fails with :class:`~repro.errors.SweepPointError`;
 * **``BrokenProcessPool`` recovery** — a worker dying mid-sweep costs
   one pool respawn and re-runs only the points that were in flight;
 * **a journal** — every completed point is recorded in the sweep's
@@ -37,7 +38,7 @@ supervisor adds
 The determinism contract survives supervision: results are assembled in
 item order and every task is a pure function of its argument, so a
 fault-free run returns the same list serially, pooled, or on the
-fabric — byte-identical output for ``repro-runall --jobs N``.
+fabric — byte-identical output for ``repro-cosim --jobs N``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ _UNSET = object()
 class SupervisorPolicy:
     """How a supervised sweep treats misbehaving points.
 
+    A point that exhausts its retries fails the sweep with
+    :class:`SweepPointError`.
+
     Attributes:
         timeout: per-point wall-clock budget in seconds (None = no
             limit).  Only enforceable with real worker processes; the
@@ -83,21 +87,12 @@ class SupervisorPolicy:
         backoff_base: first retry delay in seconds; attempt ``k`` waits
             ``backoff_base * 2**(k-1)``, capped at ``backoff_cap``.
         backoff_cap: upper bound on any single backoff delay.
-        failure_value: graceful-degradation substitute for a point that
-            exhausts its retries.  The sentinel default means *no*
-            degradation: the sweep raises :class:`SweepPointError`.
     """
 
     timeout: float | None = None
     retries: int = 2
     backoff_base: float = 0.25
     backoff_cap: float = 8.0
-    failure_value: Any = _UNSET
-
-    @property
-    def degrades(self) -> bool:
-        """Whether exhausted points degrade instead of raising."""
-        return self.failure_value is not _UNSET
 
 
 def point_key(task: Callable, item: Any) -> str:
@@ -127,7 +122,7 @@ class SupervisorContext:
     fabric: FabricConfig | None = None
     #: Aggregated event counters across all supervised maps:
     #: journal-skip, worker-crash, worker-hang-injected, point-timeout,
-    #: point-retry, point-degraded, pool-respawn, plus
+    #: point-retry, pool-respawn, plus
     #: the fabric's fabric-lease, fabric-steal, fabric-verified,
     #: fabric-quarantined, and fabric-worker-respawn.
     counts: dict[str, int] = field(default_factory=dict)
@@ -185,8 +180,9 @@ def supervise(
     """Install a supervisor context for the duration of a sweep.
 
     While active, every :func:`repro.harness.parallel.parallel_map` call
-    uses this context instead of a fresh retries=0 one — the exhibit
-    harnesses need no new parameters to become fault-tolerant.
+    uses this context instead of a fresh retries=0 one, so the replay
+    passes under a ``repro-cosim`` sweep need no new parameters to
+    become fault-tolerant.
 
     A per-point ``timeout`` is refused on the fabric: shard workers
     renew a running point's lease for as long as it runs, so nothing
@@ -342,26 +338,6 @@ def _finish(
     context.progress()
 
 
-def _fail(
-    context: SupervisorContext,
-    policy: SupervisorPolicy,
-    keys: list[str] | None,
-    results: list,
-    index: int,
-    item: Any,
-    cause: BaseException,
-    attempts: int,
-) -> None:
-    """A point exhausted its retries: degrade or raise."""
-    if policy.degrades:
-        context.count("point-degraded")
-        _finish(
-            context, keys, results, index, policy.failure_value, attempts=attempts
-        )
-        return
-    raise SweepPointError(item, cause, attempts=attempts) from cause
-
-
 def _backoff(policy: SupervisorPolicy, attempt: int) -> float:
     return min(policy.backoff_cap, policy.backoff_base * (2 ** max(0, attempt - 1)))
 
@@ -448,8 +424,7 @@ def _run_serial(
             except Exception as error:
                 attempt += 1
                 if attempt > policy.retries:
-                    _fail(context, policy, keys, results, i, work[i], error, attempt)
-                    break
+                    raise SweepPointError(work[i], error, attempts=attempt) from error
                 context.count("point-retry")
                 time.sleep(_backoff(policy, attempt))
 
@@ -506,20 +481,12 @@ def _run_pool(
         queue.append((index, time.monotonic() + delay))
 
     def on_failure(index: int, cause: BaseException, kind: str) -> None:
-        """Count a failed attempt; requeue with backoff or finish the point."""
+        """Count a failed attempt; requeue with backoff or fail the sweep."""
         attempts[index] += 1
         if attempts[index] > policy.retries:
-            _fail(
-                context,
-                policy,
-                keys,
-                results,
-                index,
-                work[index],
-                cause,
-                attempts[index],
-            )
-            return
+            raise SweepPointError(
+                work[index], cause, attempts=attempts[index]
+            ) from cause
         context.count(kind)
         requeue(index, delay=_backoff(policy, attempts[index]))
 

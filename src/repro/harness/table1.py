@@ -47,13 +47,8 @@ def generate() -> list[Table1Row]:
     ]
 
 
-def main(jobs: int | None = None) -> None:
-    """Print the Table 1 reproduction.
-
-    ``jobs`` is accepted for runner uniformity; the table is static
-    text with nothing to fan out.
-    """
-    del jobs
+def main() -> None:
+    """Print the Table 1 reproduction."""
     rows = generate()
     print(
         render_table(

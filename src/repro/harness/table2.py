@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.harness.parallel import parallel_map
 from repro.harness.report import render_table
 from repro.perf.cpi import predicted_ipc
 from repro.workloads.profiles import PAPER_TABLE2, WORKLOAD_NAMES, memory_model
@@ -35,7 +34,7 @@ class Table2Comparison:
 
 
 def _comparison_row(name: str) -> Table2Comparison:
-    """One workload's paper-versus-model row (picklable task)."""
+    """One workload's paper-versus-model row."""
     paper = PAPER_TABLE2[name]
     model = memory_model(name)
     dl1 = model.dl1_mpki()
@@ -55,14 +54,14 @@ def _comparison_row(name: str) -> Table2Comparison:
     )
 
 
-def generate(jobs: int | None = None) -> list[Table2Comparison]:
+def generate() -> list[Table2Comparison]:
     """Compute the Table 2 reproduction for all eight workloads."""
-    return parallel_map(_comparison_row, WORKLOAD_NAMES, jobs=jobs)
+    return [_comparison_row(name) for name in WORKLOAD_NAMES]
 
 
-def main(jobs: int | None = None) -> None:
+def main() -> None:
     """Print the Table 2 paper-versus-model comparison."""
-    rows = generate(jobs=jobs)
+    rows = generate()
     print(
         render_table(
             [

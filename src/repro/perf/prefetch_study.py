@@ -177,20 +177,13 @@ def measured_coverage(
     return prefetching.coverage, prefetching.prefetcher.stats.accuracy
 
 
-def _gain_pair(task: tuple[str, int]) -> tuple[PrefetchGain, PrefetchGain]:
-    """Serial and parallel gains for one workload (picklable task)."""
-    name, threads_parallel = task
-    return prefetch_gain(name, 1), prefetch_gain(name, threads_parallel)
-
-
 def prefetch_study(
-    threads_parallel: int = 16, jobs: int | None = None
+    threads_parallel: int = 16,
 ) -> dict[str, tuple[PrefetchGain, PrefetchGain]]:
     """Serial and parallel prefetch gains for every workload (Figure 8)."""
-    from repro.harness.parallel import parallel_map
     from repro.workloads.profiles import WORKLOAD_NAMES
 
-    pairs = parallel_map(
-        _gain_pair, [(name, threads_parallel) for name in WORKLOAD_NAMES], jobs=jobs
-    )
-    return dict(zip(WORKLOAD_NAMES, pairs))
+    return {
+        name: (prefetch_gain(name, 1), prefetch_gain(name, threads_parallel))
+        for name in WORKLOAD_NAMES
+    }

@@ -4,9 +4,9 @@ The package turns the one-shot harness CLIs into a long-running
 serving layer:
 
 * :mod:`repro.serve.jobspec` — the canonical job-spec/job-result model
-  every front door shares (``repro-cosim``, ``repro-runall``, the
-  server), plus the content-key helpers that keep server dedup,
-  sweep journals, and trace-cache addressing derived from one place;
+  every front door shares (``repro-cosim`` and the server), plus the
+  content-key helpers that keep server dedup, sweep journals, and
+  trace-cache addressing derived from one place;
 * :mod:`repro.serve.queue` — admission queue, priority scheduler, and
   the batch planner that coalesces jobs sharing a captured trace into
   single-pass multi-config replays;

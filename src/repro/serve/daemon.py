@@ -29,6 +29,8 @@ from repro.governor.budget import active_governor
 from repro.harness.cli import (
     _emit_telemetry,
     add_run_arguments,
+    add_worker_arguments,
+    build_budget,
     open_trace_cache,
     run_cli,
 )
@@ -83,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(batching=True)
     add_run_arguments(parser)
+    add_worker_arguments(parser)
     return parser
 
 
@@ -109,7 +112,8 @@ def _summary_line(server: JobServer) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_cli(_main, build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    return run_cli(_main, args, build_budget(args))
 
 
 def _main(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
-from repro.harness import cli, runall
+from repro.harness import cli
 from repro.harness.cli import build_fabric_config, build_parser
 from repro.harness.executors.base import FabricConfig
 from repro.harness.executors.ledger import (
@@ -79,28 +79,18 @@ class TestFabricConfig:
         with pytest.raises(ConfigurationError, match="quarantine"):
             FabricConfig(quarantine_after=0)
 
-    @pytest.mark.parametrize(
-        "main, argv",
-        [
-            (
-                cli.main,
+    def test_timeout_on_the_shard_executor_is_a_usage_error(self, capsys):
+        # Shard workers renew a running point's lease, so nothing there
+        # would enforce the budget: refused before any work starts.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
                 [
                     "--workload", "FIMI", "--cores", "2", "--cache", "1MB,4MB",
                     "--source", "synthetic", "--accesses", "65536",
                     "--trace-cache", "off",
-                ],
-            ),
-            (runall.main, []),
-        ],
-        ids=["cosim", "runall"],
-    )
-    def test_timeout_on_the_shard_executor_is_a_usage_error(
-        self, main, argv, capsys
-    ):
-        # Shard workers renew a running point's lease, so nothing there
-        # would enforce the budget: refused before any work starts.
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--executor", "shard", "--timeout", "0.001", "--retries", "0"])
+                    "--executor", "shard", "--timeout", "0.001", "--retries", "0",
+                ]
+            )
         assert excinfo.value.code == 2
         assert "--timeout cannot be combined with --executor shard" in (
             capsys.readouterr().err

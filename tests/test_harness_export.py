@@ -63,34 +63,36 @@ class TestRunAllCLI:
         assert "wrote" in output
         assert (tmp_path / "out" / "fig7.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--jobs", "2"],
+            ["--timeout", "1"],
+            ["--retries", "0"],
+            ["--deadline", "60"],
+            ["--mem-budget", "2GB"],
+            ["--executor", "pool"],
+            ["--shards", "2"],
+            ["--lease-ttl", "30"],
+            ["--resume"],
+            ["--journal", "sweep.jsonl"],
+            ["--inject", "seed=1,crash=0.1"],
+            ["--strict"],
+            ["--lenient"],
+            ["--fail-on-degraded"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_sweep_flags_are_usage_errors(self, argv, capsys):
+        # runall is a report with nothing to fan out, supervise or
+        # resume; those flags belong to repro-cosim.
+        with pytest.raises(SystemExit) as excinfo:
+            runall.main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSampledExport:
-    def _figure(self):
-        from repro.harness.figures import SweepFigure
-
-        return SweepFigure(
-            title="Sampled sweep",
-            axis_label="LLC size",
-            axis_values=(1 << 20, 2 << 20),
-            series={"FIMI": (3.4, 0.4)},
-            knees={"FIMI": None},
-            sampled=True,
-            errors={"FIMI": (0.15, 0.03)},
-        )
-
-    def test_sampled_csv_appends_flag_and_error_columns(self, tmp_path):
-        path = tmp_path / "sampled.csv"
-        export.write_sweep_csv(self._figure(), path)
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        # Positional compatibility: workload + value columns first, the
-        # sampled flag and error columns strictly after.
-        assert rows[0][:3] == ["workload", "1MB", "2MB"]
-        assert rows[0][3:] == ["sampled", "err:1MB", "err:2MB"]
-        assert rows[1][:3] == ["FIMI", "3.4", "0.4"]
-        assert rows[1][3] == "1"
-        assert [float(cell) for cell in rows[1][4:]] == [0.15, 0.03]
-
     def test_exact_csv_has_no_sampled_columns(self, tmp_path):
         from repro.harness import fig4
 
@@ -101,7 +103,16 @@ class TestSampledExport:
         assert "sampled" not in header
 
     def test_render_labels_sampled_and_attaches_bars(self):
-        rendered = self._figure().render()
+        from repro.harness.report import render_series_table
+
+        rendered = render_series_table(
+            "LLC size",
+            ["1MB", "2MB"],
+            {"FIMI": [3.4, 0.4]},
+            title="Sampled sweep",
+            errors={"FIMI": [0.15, 0.03]},
+            sampled=True,
+        )
         assert "[sampled]" in rendered
         assert "3.40±0.15" in rendered
 

@@ -1,22 +1,16 @@
-"""The parallel sweep runner's determinism contract.
+"""The parallel map's determinism contract.
 
-``repro-runall --jobs N`` must produce byte-identical output to the
-serial run: ``parallel_map`` keeps results in item order, and every
-grid task is a pure function of its arguments.  These tests exercise
-the primitive, the figure harnesses on both paths, and the full runall
-output end to end.
+A pooled map must return exactly what the serial one does:
+``parallel_map`` keeps results in item order, and every grid task is a
+pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import io
-from contextlib import redirect_stdout
-
 import pytest
 
 from repro.errors import SweepPointError
-from repro.harness import fig4, fig7, projection, runall, table2
-from repro.harness.figures import _mpki_point
+from repro.harness.executors.tasks import model_mpki_point
 from repro.harness.parallel import default_jobs, parallel_map, resolve_jobs
 
 
@@ -30,17 +24,17 @@ class TestParallelMap:
     POINTS = [("FIMI", 8, 4 * 2**20, 64), ("SNP", 8, 8 * 2**20, 64)] * 3
 
     def test_serial_and_parallel_results_identical(self):
-        serial = parallel_map(_mpki_point, self.POINTS, jobs=None)
-        parallel = parallel_map(_mpki_point, self.POINTS, jobs=2)
+        serial = parallel_map(model_mpki_point, self.POINTS, jobs=None)
+        parallel = parallel_map(model_mpki_point, self.POINTS, jobs=2)
         assert serial == parallel
 
     def test_order_preserved(self):
-        values = parallel_map(_mpki_point, self.POINTS, jobs=2)
+        values = parallel_map(model_mpki_point, self.POINTS, jobs=2)
         assert values[0] == values[2] == values[4]
         assert values[1] == values[3] == values[5]
 
     def test_empty_items(self):
-        assert parallel_map(_mpki_point, [], jobs=4) == []
+        assert parallel_map(model_mpki_point, [], jobs=4) == []
 
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_unsupervised_failure_raises_on_first_attempt(self, jobs):
@@ -54,31 +48,3 @@ class TestParallelMap:
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) == default_jobs()
         assert default_jobs() >= 1
-
-
-class TestExhibitsUnderJobs:
-    def test_fig4_parallel_equals_serial(self):
-        assert fig4.generate() == fig4.generate(jobs=2)
-
-    def test_fig7_parallel_equals_serial(self):
-        assert fig7.generate() == fig7.generate(jobs=2)
-
-    def test_table2_parallel_equals_serial(self):
-        assert table2.generate() == table2.generate(jobs=2)
-
-    def test_projection_parallel_equals_serial(self):
-        assert projection.generate() == projection.generate(jobs=2)
-
-
-class TestRunallByteIdentical:
-    def test_jobs_output_matches_serial(self):
-        def capture(argv: list[str]) -> str:
-            buffer = io.StringIO()
-            with redirect_stdout(buffer):
-                assert runall.main(argv) == 0
-            return buffer.getvalue()
-
-        serial = capture([])
-        parallel = capture(["--jobs", "2"])
-        assert serial  # the run actually printed the exhibits
-        assert parallel == serial

@@ -279,10 +279,11 @@ def _force_audit_violations(monkeypatch) -> None:
 def _cosim(argv, monkeypatch) -> int:
     from repro.harness import cli
 
+    # No retries: a deterministic audit failure fails every attempt.
     return cli.main(
         ["--workload", "FIMI", "--cores", "2", "--cache", "1MB,4MB",
          "--source", "synthetic", "--accesses", "4000",
-         "--trace-cache", "off", *argv]
+         "--trace-cache", "off", "--retries", "0", *argv]
     )
 
 
@@ -302,28 +303,28 @@ def _runall(exhibit: str):
 @pytest.mark.parametrize(
     "main, case",
     [
+        # repro-cosim replays under the supervisor: the AuditError is
+        # the cause of a SweepPointError.
         (_cosim, "audit"),
         (_cosim, "deadline"),
-        # ablations replays outside any map: a bare AuditError.
+        # runall replays outside any map, so both exhibits raise a bare
+        # AuditError.
         (_runall("ablations"), "audit"),
-        # bandwidth_study replays inside a map: the AuditError is the
-        # cause of a SweepPointError.
         (_runall("bandwidth_study"), "audit"),
-        (_runall("bandwidth_study"), "deadline"),
     ],
     ids=["cosim-audit", "cosim-deadline", "runall-ablations-audit",
-         "runall-bandwidth-audit", "runall-bandwidth-deadline"],
+         "runall-bandwidth-audit"],
 )
 def test_sweep_clis_share_exit_codes(main, case, monkeypatch, capsys):
     """A strict audit violation exits 3 and an expired deadline 124,
-    reported once on stderr, from either sweep CLI."""
+    reported once on stderr, from either CLI that replays."""
     from repro.audit import AUDIT_ENV, AUDIT_OFF
 
     # runall delivers --audit through the environment; restore it after.
     monkeypatch.setenv(AUDIT_ENV, AUDIT_OFF)
     if case == "audit":
         _force_audit_violations(monkeypatch)
-        code = main(["--audit", "sample", "--retries", "0"], monkeypatch)
+        code = main(["--audit", "sample"], monkeypatch)
         assert code == EXIT_AUDIT
         err = capsys.readouterr().err
         assert err.count("audit failed") == 1

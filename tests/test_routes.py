@@ -2,10 +2,11 @@
 
 One job spec must yield one ``result_digest`` whichever front door ran
 it: ``JobSpec.run()`` serial or pooled, the same under ``supervise()``,
-the shard fabric, the replay engine's per-event loop, a ``run_batch``
-slice, or a ``JobServer`` job.  A journal written without a trace cache
-must let a resumed run skip every point and append nothing, and a sweep
-stopped on one executor must finish on the other.
+a supervised pool whose workers crash and hang under harness fault
+injection, the shard fabric, the replay engine's per-event loop, a
+``run_batch`` slice, or a ``JobServer`` job.  A journal written without
+a trace cache must let a resumed run skip every point and append
+nothing, and a sweep stopped on one executor must finish on the other.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ def _supervised(spec: JobSpec, tmp_path: Path, jobs: int | None = None, **kwargs
         return spec.run(jobs=jobs)
 
 
+def _supervised_pool_faults(spec: JobSpec, tmp_path: Path):
+    # Seed 2 crashes one worker and hangs another on either spec; the
+    # counts fail loudly if a seed change stops the injection.
+    faults = FaultSpec.parse("seed=2,crash=0.5,hang=0.5,hang-seconds=0.05")
+    with supervise(SupervisorPolicy(backoff_base=0.01), fault_spec=faults) as context:
+        results = spec.run(jobs=2)
+    assert context.counts.get("worker-crash-injected")
+    assert context.counts.get("worker-hang-injected")
+    return results
+
+
 def _shard(spec: JobSpec, tmp_path: Path):
     # No journal: each map runs its workers over a temporary ledger.
     # Journal-plus-fabric is covered by the resume tests below.
@@ -97,6 +109,7 @@ ROUTES = {
     "run-pool": lambda spec, tmp_path: spec.run(jobs=2),
     "supervised-serial": _supervised,
     "supervised-pool": functools.partial(_supervised, jobs=2),
+    "supervised-pool-faults": _supervised_pool_faults,
     "shard": _shard,
     "per-event": _per_event,
     "batch-slice": _batch_slice,

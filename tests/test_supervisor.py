@@ -3,8 +3,8 @@
 The contract under test: fault-free supervised runs return exactly what
 ``parallel_map`` returns; under faults — worker crashes, hangs, flaky
 exceptions, SIGINT — the supervisor retries with backoff, respawns the
-pool, journals completed points for ``--resume``, and either degrades
-gracefully or fails loudly with the offending grid point attached.
+pool, journals completed points for ``--resume``, and a point out of
+retries fails loudly with the offending grid point attached.
 """
 
 from __future__ import annotations
@@ -118,16 +118,6 @@ class TestRetries:
         assert info.value.point == 7
         assert info.value.attempts == 2
         assert isinstance(info.value.cause, RuntimeError)
-
-    def test_exhausted_point_degrades_when_policy_allows(self):
-        context = SupervisorContext(
-            policy=SupervisorPolicy(
-                retries=0, backoff_base=0.01, failure_value=None
-            )
-        )
-        out = supervised_map(always_fails, [1, 2], jobs=2, context=context)
-        assert out == [None, None]
-        assert context.counts["point-degraded"] == 2
 
 
 class TestCrashRecovery:
