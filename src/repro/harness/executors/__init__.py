@@ -6,7 +6,8 @@ and hands execution to one of two backends, picked by ``--executor``:
 
 * ``pool`` (the default) — in-process when ``jobs`` ≤ 1, otherwise
   worker processes in one local pool driven by the supervisor's pool
-  loop (:mod:`~repro.harness.executors.local`);
+  loop, forked once and reused by later maps
+  (:mod:`~repro.harness.executors.local`);
 * ``shard`` — N independent forked worker processes, each running a
   lease-based work-stealing loop over a shared ledger
   (:mod:`~repro.harness.executors.shard`), which survives workers

@@ -12,7 +12,10 @@ tuple.
 
 ``repro-cosim --jobs N`` and ``repro-serve --jobs N`` set the worker
 count; ``jobs=None`` means serial, in-process, and ``--jobs 0`` asks
-for one worker per CPU.
+for one worker per CPU.  Worker processes fork once per process, not
+once per map: a map of the same width under the same telemetry session
+reuses the idle workers the previous map left
+(:mod:`repro.harness.executors.local`).
 
 Outside a :func:`~repro.harness.supervisor.supervise` context the map
 runs under a fresh context with ``retries=0``: the first failing point

@@ -15,8 +15,11 @@ Points run in-process (``jobs`` ≤ 1), on the local worker pool
 (:class:`~repro.harness.executors.local.LocalPoolExecutor`), or, when
 the context carries a :class:`~repro.harness.executors.base.
 FabricConfig`, on the ledger-backed shard fabric
-(:func:`~repro.harness.executors.fabric.run_fabric`).  Around them the
-supervisor adds
+(:func:`~repro.harness.executors.fabric.run_fabric`).  The local pool
+outlives the map that forked it: a map takes the process's idle pool
+when its worker count and telemetry session match and forks one
+otherwise, and a clean map parks it idle again, so workers fork once
+per process rather than once per map.  Around them the supervisor adds
 
 * **per-point wall-clock timeouts** — a hung worker is terminated, the
   pool respawned, and only the victim point re-queued;
@@ -62,7 +65,7 @@ from repro.faults.spec import FaultSpec
 from repro.governor.budget import active_governor
 from repro.harness.executors.base import FabricConfig, SubmittedPoint
 from repro.harness.executors.ledger import FabricLedger
-from repro.harness.executors.local import LocalPoolExecutor
+from repro.harness.executors.local import LocalPoolExecutor, release_idle_pool
 from repro.harness.parallel import resolve_jobs
 from repro.serve.jobspec import point_content_key
 from repro.telemetry import runtime as telemetry
@@ -295,10 +298,12 @@ def supervised_map(
     governor = active_governor()
     if workers > 1 and governor is not None and governor.memory_pressure():
         # Worker processes are the multiplier on resident memory; under
-        # a breached --mem-budget new maps run serial (the latch in the
-        # governor keeps this in force for the rest of the run, and the
-        # first breach left a degradation record).
+        # a breached --mem-budget new maps run serial and the idle
+        # pool's workers go too (the latch in the governor keeps this
+        # in force for the rest of the run, and the first breach left a
+        # degradation record).
         workers = 1
+        release_idle_pool()
     if workers <= 1:
         _run_serial(task, work, pending, keys, results, context)
     else:
@@ -438,7 +443,11 @@ def _run_pool(
     context: SupervisorContext,
     workers: int,
 ) -> None:
-    """The supervised pool loop, driven through the ``pool`` backend."""
+    """The supervised pool loop, driven through the ``pool`` backend.
+
+    The backend takes the idle pool or forks one; a clean map parks it
+    for the next map, and any other exit drops it.
+    """
     policy = context.policy
     attempts = {i: 0 for i in pending}
     # (index, not-before) — backoff is enforced by the ready time.
@@ -532,15 +541,16 @@ def _run_pool(
             _reap_hung(
                 context, policy, inflight, requeue, on_failure, respawn
             )
-    except SweepPointError:
-        backend.cancel()
-        raise
     except KeyboardInterrupt:
         backend.cancel()
         _drain_report(context, results)
         raise SweepInterrupted(context.completed, context.total) from None
-    else:
-        backend.close()
+    except BaseException:
+        # A point out of retries, an expired deadline or a bug: the pool
+        # may still be running points, so it is dropped, not parked.
+        backend.cancel()
+        raise
+    backend.close()
 
 
 def _next_wakeup(

@@ -18,10 +18,15 @@ most) a no-op method call:
 :func:`configure` installs fresh state (registry, span tracker, window
 stream, optional JSONL sink), so every run starts from zero counters;
 :func:`shutdown` flushes the final metric snapshot into the event log
-and closes it.  The switch is process-local by design: sweep worker
-processes run with telemetry off, and the parent publishes their
-results' aggregates instead (see ``repro.telemetry.profile``), so fan
--out width never changes what a metric means.
+and closes it.  The state is process-local.  A forked sweep worker
+inherits the session that was active when it forked: its spans and
+window events reach the same JSONL event log, but its registry is a
+copy the parent never reads, so ``--profile`` and ``--metrics-file``
+leave worker-side counters out.  The parent publishes the workers'
+result aggregates instead (see ``repro.telemetry.profile``), so fan
+-out width never changes what a metric means.  Because workers keep
+their session, the worker pool is bound to the session it forked
+under (:func:`current_session`).
 
 Telemetry deliberately never touches simulation state, RNG streams, or
 result values: with the switch off the platform's outputs are
@@ -116,6 +121,16 @@ def shutdown() -> None:
 def enabled() -> bool:
     """Whether the process-wide telemetry switch is on."""
     return _state is not None
+
+
+def current_session() -> object | None:
+    """The live session's state object, or None when telemetry is off.
+
+    Every :func:`configure` installs a new object, so identity tells
+    two sessions apart.  The worker pool binds itself to one session
+    with it (:mod:`repro.harness.executors.local`).
+    """
+    return _state
 
 
 def registry() -> MetricRegistry | None:

@@ -39,6 +39,7 @@ from repro.harness.executors.ledger import FabricLedger
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.sinks import MAX_CONSECUTIVE_WRITE_ERRORS, JsonlSink
 from repro.trace.cache import PINS_DIR, TraceCache, cache_key, pin_entry
+from tests.processes import idle_pool_pids, wait_exited
 
 
 @pytest.fixture(autouse=True)
@@ -621,6 +622,17 @@ class TestMemoryClamp:
             pids = supervised_map(_pid_task, list(range(4)), jobs=2)
         assert set(pids) == {os.getpid()}  # no worker processes were forked
         assert governor.counts.get("mem-pressure") == 1
+
+    def test_breach_terminates_the_idle_pool(self):
+        supervised_map(_pid_task, list(range(4)), jobs=2)
+        idle = idle_pool_pids()
+        assert idle  # the pooled map left its workers idle
+        budget = ResourceBudget(mem_budget=1024)
+        with govern(budget, maxrss_fn=lambda: 1 << 40):
+            pids = supervised_map(_pid_task, list(range(4)), jobs=2)
+        assert set(pids) == {os.getpid()}
+        assert idle_pool_pids() == set()
+        assert wait_exited(idle) == []
 
     def test_within_budget_pools_normally(self):
         budget = ResourceBudget(mem_budget=1 << 60)

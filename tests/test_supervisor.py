@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import time
 
 import pytest
@@ -26,6 +27,8 @@ from repro.harness.supervisor import (
     supervise,
     supervised_map,
 )
+from repro.telemetry import runtime as telemetry
+from tests.processes import exited, idle_pool_pids, wait_exited
 
 
 # -- module-level tasks (they cross process boundaries) -----------------
@@ -77,6 +80,13 @@ def interrupts(item):
     if item == 1:
         raise KeyboardInterrupt
     return item
+
+
+def worker_pid(item):
+    """The running process's pid, after a pause long enough that every
+    worker of a small pool takes part in an eight-point map."""
+    time.sleep(0.05)
+    return os.getpid()
 
 
 class TestFaultFreeParity:
@@ -402,6 +412,142 @@ class TestBrokenPoolSubmit:
             assert (event.kind, event.handle, event.value) == ("done", handle, 9)
         finally:
             backend.cancel()
+
+
+def _no_retries() -> SupervisorContext:
+    return SupervisorContext(policy=SupervisorPolicy(retries=0))
+
+
+def _pooled_pids(jobs: int = 2, context: SupervisorContext | None = None):
+    """Run an eight-point map; the pids of the pool it leaves idle,
+    whose workers ran every point."""
+    ran = set(supervised_map(worker_pid, list(range(8)), jobs=jobs, context=context))
+    pool = idle_pool_pids()
+    assert ran <= pool and len(pool) == jobs
+    return pool
+
+
+class TestPoolLifetime:
+    """The worker pool outlives the map that forked it: the next map of
+    the same width under the same telemetry session runs on the same
+    workers.  A map of another width, a failed point, a respawn or a
+    new session gets fresh workers."""
+
+    def test_consecutive_maps_share_their_workers(self):
+        first = _pooled_pids()
+        assert _pooled_pids() == first
+
+    def test_another_worker_count_forks_fresh_workers(self):
+        first = _pooled_pids(jobs=2)
+        assert not _pooled_pids(jobs=3) & first
+        assert wait_exited(first) == []
+
+    def test_failed_point_drops_the_pool(self):
+        first = _pooled_pids()
+        with pytest.raises(SweepPointError):
+            supervised_map(always_fails, [1, 2], jobs=2, context=_no_retries())
+        assert idle_pool_pids() == set()
+        assert wait_exited(first) == []
+        assert not _pooled_pids() & first
+
+    def test_respawned_pool_replaces_the_workers(self):
+        first = _pooled_pids()
+        context = SupervisorContext(
+            policy=SupervisorPolicy(retries=1, backoff_base=0.01),
+            fault_spec=FaultSpec(seed=5, crash=1.0),
+        )
+        assert supervised_map(square, [2, 3], jobs=2, context=context) == [4, 9]
+        assert context.counts["pool-respawn"] >= 1
+        assert not idle_pool_pids() & first
+        assert not _pooled_pids() & first
+
+    def test_cancel_kills_a_busy_worker(self):
+        from repro.harness.executors.base import SubmittedPoint
+        from repro.harness.executors.local import LocalPoolExecutor, pool_processes
+
+        backend = LocalPoolExecutor(2)
+        backend.submit(SubmittedPoint(index=0, task=time.sleep, item=60))
+        time.sleep(0.5)
+        pids = {process.pid for process in pool_processes(backend._pool)}
+        backend.cancel()
+        assert wait_exited(pids) == []
+
+    def test_new_telemetry_session_forks_fresh_workers(self):
+        first = _pooled_pids()
+        with telemetry.session():
+            inside = _pooled_pids()
+            assert _pooled_pids() == inside
+        assert not inside & first
+        assert not _pooled_pids() & inside
+
+    def test_worker_killed_while_idle_costs_one_rebuild(self):
+        first = _pooled_pids()
+        os.kill(min(first), signal.SIGKILL)
+        # The broken pool stops its surviving worker too.
+        assert wait_exited(first) == []
+        context = _no_retries()
+        assert not _pooled_pids(context=context) & first
+        assert context.counts == {}  # no point-retry, no worker-crash
+
+
+class TestWorkerSignals:
+    """Pool workers die with their parent and leave Ctrl-C to it."""
+
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        """A parent SIGKILLed mid-map (CI's kill-and-resume step) must
+        not leave its workers running, reparented to init."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import os, signal, sys, time
+            from repro.harness.parallel import parallel_map
+
+            PIDS = sys.argv[1]
+
+            def linger(item):
+                open(os.path.join(PIDS, str(os.getpid())), "w").close()
+                if item == 0:
+                    deadline = time.monotonic() + 30
+                    while len(os.listdir(PIDS)) < 2 and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    os.kill(os.getppid(), signal.SIGKILL)
+                time.sleep(60)
+
+            parallel_map(linger, [0, 1], jobs=2)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH"), "src") if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        pids = [int(name) for name in os.listdir(tmp_path)]
+        assert len(pids) == 2
+        try:
+            assert wait_exited(pids, timeout=10.0) == []
+        finally:
+            for pid in pids:
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_idle_workers_ignore_sigint(self):
+        first = _pooled_pids()
+        for pid in first:
+            os.kill(pid, signal.SIGINT)
+        time.sleep(0.5)  # time enough for a default handler to kill them
+        context = _no_retries()
+        assert _pooled_pids(context=context) == first
+        assert "pool-respawn" not in context.counts
 
 
 class TestReapHung:

@@ -185,6 +185,36 @@ class TestByteIdentity:
         assert elapsed < 2.0, f"disabled path took {elapsed:.3f}s for {iterations} iterations"
 
 
+class TestForkedWorkers:
+    """A forked worker keeps the session it forked under: its spans
+    reach that session's event log.  The pool is bound to the session,
+    so a later map without it adds nothing to the file."""
+
+    def test_pooled_points_log_into_the_forking_session_only(self, tmp_path):
+        from repro.serve.jobspec import JobSpec
+
+        spec = JobSpec(
+            workload="FIMI",
+            cores=2,
+            cache=(1 * MB, 4 * MB),
+            source="synthetic",
+            accesses=4096,
+        )
+        path = tmp_path / "events.jsonl"
+        with telemetry.session(events_path=str(path)):
+            spec.run(jobs=2)
+            spec.run(jobs=2)
+        points = [
+            event
+            for event in read_events(path)
+            if event.get("event") == "span" and event["name"] == "replay.point"
+        ]
+        assert len(points) == 2 * len(spec.cache)
+        logged = path.read_bytes()
+        spec.run(jobs=2)
+        assert path.read_bytes() == logged
+
+
 # -- the live window stream ---------------------------------------------
 
 
