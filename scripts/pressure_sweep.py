@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Pressure-test the resource governor: full disks, tiny quotas, deadlines.
 
-The governor's claim mirrors the fabric's: put the platform under
-resource pressure — a trace-cache quota smaller than the working set,
-injected ENOSPC/EIO at the write sites, a wall-clock deadline that
-expires mid-sweep — and the run degrades *gracefully* while producing
+The governor's claim: put the platform under resource pressure — a
+trace-cache quota smaller than the working set, injected ENOSPC/EIO at
+the write sites, a wall-clock deadline that expires mid-sweep — and
+the run degrades *gracefully* while producing
 results byte-identical to an unpressured run.  This script is that
 claim's executable proof, and what the CI ``pressure-smoke`` job runs.
 

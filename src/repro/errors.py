@@ -91,8 +91,8 @@ class DeadlineExpired(SweepInterrupted):
     """A run-level ``--deadline`` expired before the sweep completed.
 
     A subclass of :class:`SweepInterrupted` because the semantics are
-    identical to SIGINT by design: in-flight work is cancelled with the
-    same grace, completed points are already journaled, and a
+    identical to SIGINT by design: in-flight work is cancelled the same
+    way, completed points are already journaled, and a
     ``--resume`` run finishes the sweep byte-identically.  The distinct
     type exists so CLIs can exit 124 (the ``timeout(1)`` convention)
     instead of 130.
@@ -104,49 +104,6 @@ class DeadlineExpired(SweepInterrupted):
         self.args = (
             f"deadline expired: {completed}/{total} points completed",
         )
-
-
-class RemotePointError(ReproError):
-    """A sweep point failed on a fabric worker in another process.
-
-    The original exception cannot cross the ledger (only its rendered
-    text can), so the driver re-raises it as this type, carrying the
-    worker's identity and the original ``Type: message`` text.
-    """
-
-    def __init__(self, text: str, worker: str | None = None) -> None:
-        self.worker = worker
-        suffix = f" (on worker {worker})" if worker else ""
-        super().__init__(f"{text}{suffix}")
-
-
-class QuarantinedPointError(ReproError):
-    """A sweep point was quarantined as poison.
-
-    The point's lease expired under K distinct workers — each one
-    presumably killed mid-execution — so the fabric stops feeding it
-    workers and records it as quarantined instead of retrying forever.
-    """
-
-    def __init__(self, key: str, dead_workers: list[str]) -> None:
-        self.key = key
-        self.dead_workers = list(dead_workers)
-        super().__init__(
-            f"point {key[:12]}… quarantined after its lease expired under "
-            f"{len(self.dead_workers)} worker(s): {', '.join(self.dead_workers)}"
-        )
-
-
-class FabricError(ReproError):
-    """The distributed sweep fabric lost a guarantee it cannot degrade.
-
-    Raised when a re-executed point's result is not byte-identical to
-    the first recording (the task broke the pure-function contract that
-    makes work-stealing retries idempotent), or when the worker fleet
-    cannot be kept alive (every respawn dies immediately — a bad
-    interpreter or launch template, not a transient fault).  Point-level
-    failures never raise this: they retry, degrade, or quarantine.
-    """
 
 
 class AuditError(ReproError):

@@ -1,13 +1,13 @@
 """Bounded retry-with-backoff for transient I/O.
 
 The platform's durable surfaces — the trace cache, the sweep journal,
-the fabric ledger, the telemetry sinks — all end in a handful of
-``write()``/``rename()`` calls that can fail *transiently*: an NFS
-server mid-failover returns EIO, a contended lock returns EAGAIN, a
-busy volume returns EBUSY.  Before this module each surface treated
-any OSError as final; now they share one policy: retry a short,
-bounded number of times with exponential backoff, count every retry,
-and only then let the error surface.
+the telemetry sinks — all end in a handful of ``write()``/``rename()``
+calls that can fail *transiently*: an NFS server mid-failover returns
+EIO, a contended lock returns EAGAIN, a busy volume returns EBUSY.
+Before this module each surface treated any OSError as final; now they
+share one policy: retry a short, bounded number of times with
+exponential backoff, count every retry, and only then let the error
+surface.
 
 Two errno classes are deliberately *not* retried here:
 

@@ -72,7 +72,6 @@ from repro.harness.report import (
     render_degradation_report,
     render_series_table,
 )
-from repro.harness.executors.base import EXECUTOR_NAMES, FabricConfig
 from repro.harness.executors.ledger import FabricLedger
 from repro.harness.supervisor import SupervisorContext, SupervisorPolicy, supervise
 from repro.serve.jobspec import JobSpec, result_digest
@@ -208,31 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_arguments(parser)
     add_worker_arguments(parser)
     parser.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default="pool",
-        help="where sweep points execute: 'pool' (in-process, or a "
-        "local worker pool with --jobs > 1) or 'shard' (independent "
-        "work-stealing worker processes coordinating through a lease "
-        "ledger; survives SIGKILLed workers) (default: pool)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker count for --executor shard (default: 2)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds a shard worker's claim on a point stays "
-        "exclusive without a heartbeat; after expiry any worker may "
-        "steal the point (default: 30)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="skip points already recorded in the --journal file; a "
@@ -314,8 +288,7 @@ def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock budget for sweep and replay-pass "
-        "workers (needs --jobs > 1 to be enforceable; refused with "
-        "--executor shard)",
+        "workers (needs --jobs > 1 to be enforceable)",
     )
     parser.add_argument(
         "--retries",
@@ -382,28 +355,19 @@ def open_trace_cache(args: argparse.Namespace) -> TraceCache | None:
     return trace_cache
 
 
-def build_fabric_config(args: argparse.Namespace) -> FabricConfig | None:
-    """The sweep-fabric shape from CLI flags; None in ``pool`` mode."""
-    if args.executor == "pool":
-        return None
-    return FabricConfig(shards=args.shards, lease_ttl=args.lease_ttl)
-
-
 def sweep_session(
     args: argparse.Namespace, fault_spec: FaultSpec | None = None
 ) -> AbstractContextManager[SupervisorContext]:
     """The supervised sweep ``repro-cosim`` runs in.
 
-    One journal, whichever executor runs: the ledger at ``--journal``,
-    resumed under ``--resume``.  The pool records completed points in
-    it and the shard fabric's workers coordinate through it.
+    The journal at ``--journal``, resumed under ``--resume``, records
+    every completed point.
     """
     journal = FabricLedger(args.journal, resume=args.resume) if args.journal else None
     return supervise(
         SupervisorPolicy(timeout=args.timeout, retries=args.retries),
         journal=journal,
         fault_spec=fault_spec,
-        fabric=build_fabric_config(args),
     )
 
 
@@ -479,16 +443,8 @@ def _emit_telemetry(args: argparse.Namespace, results) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one co-simulation (or a cache-size sweep) and print its readout.
-
-    Shard workers renew a running point's lease for as long as it
-    runs, so a per-point ``--timeout`` has nothing to enforce it on the
-    fabric: the combination is a usage error, before any work starts.
-    """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.timeout is not None and args.executor == "shard":
-        parser.error("--timeout cannot be combined with --executor shard")
+    """Run one co-simulation (or a cache-size sweep) and print its readout."""
+    args = build_parser().parse_args(argv)
     return run_cli(_main, args, build_budget(args))
 
 
@@ -594,8 +550,6 @@ def _main_sampled(args, spec, workload, configs, trace_cache) -> int:
     for flag, attribute in _SAMPLE_CONFLICTS:
         if getattr(args, attribute):
             build_parser().error(f"--sample cannot be combined with {flag}")
-    if args.executor != "pool":
-        build_parser().error("--sample cannot be combined with --executor")
     with telemetry.span("run"):
         results = spec.run(trace_cache=trace_cache, jobs=args.jobs)
         exit_code = _report_sampled(args, workload, configs, results, trace_cache)

@@ -1,10 +1,10 @@
-"""The ``pool`` backend: the only process pool in the harness.
+"""The local worker pool: the only process pool in the harness.
 
 Wraps one :class:`~concurrent.futures.ProcessPoolExecutor`.  The
 supervised pool loop (``repro.harness.supervisor._run_pool``) drives
-it through ``submit``/``poll``/``respawn``/``cancel``/``close`` and
-reads its answers as :class:`~repro.harness.executors.base.PointEvent`
-records, the same records the shard backend reports.
+it through ``submit``/``poll``/``respawn``/``cancel``/``close``, hands
+it one :class:`SubmittedPoint` per attempt and reads its answers as
+:class:`PointEvent` records.
 
 **Pool lifetime.**  Workers fork once per process, not once per map.
 A :class:`LocalPoolExecutor` takes the process's idle pool when that
@@ -27,13 +27,19 @@ SIGKILLed parent and a terminal Ctrl-C reaches only the parent, whose
 supervisor drains the sweep and terminates them.
 
 One honest limitation is encoded here rather than hidden: when a pool
-worker dies, CPython's pool breaks *entirely* — every in-flight future
-fails with :class:`BrokenProcessPool`.  ``poll`` translates that into
-one ``crash`` event per completed-dead future (those points plausibly
-killed the worker and are charged an attempt), one ``lost`` event per
-innocent survivor (re-run free of charge), and a ``respawn`` event
-after the backend has already rebuilt the pool.  A pool that broke
-while idle is rebuilt by the next ``submit``, free of charge.
+worker dies, CPython's pool breaks *entirely*, and it fails every
+in-flight future with :class:`BrokenProcessPool` at once.  ``poll``
+reports each of those futures as a ``crash`` event, so every point in
+flight is charged an attempt, not only the one whose worker died.  With
+two points in flight on two workers, one point calling ``os._exit``
+counts ``worker-crash=2``, and with ``retries=0`` the sweep fails on
+whichever point the loop reads first, innocent or not.  The pool does
+not know which worker ran which point, so it cannot tell the killer
+from its victims.  A ``lost`` event (re-run free of charge) goes only
+to a future still pending when ``poll`` saw the break, which CPython's
+all-at-once failure makes rare.  A ``respawn`` event follows after the
+backend has already rebuilt the pool.  A pool that broke while idle is
+rebuilt by the next ``submit``, free of charge.
 """
 
 from __future__ import annotations
@@ -44,14 +50,52 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import FaultInjectionError
-from repro.harness.executors.base import PointEvent, SubmittedPoint
 from repro.telemetry import runtime as telemetry
 
 #: Seconds between a worker's checks that its parent is still alive.
 PARENT_POLL_S = 0.2
+
+
+@dataclass(frozen=True)
+class SubmittedPoint:
+    """One attempt at one grid point.
+
+    ``fault``/``hang_seconds`` carry a planned harness fault for this
+    attempt.
+    """
+
+    task: Callable
+    item: Any
+    fault: str | None = None
+    hang_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class PointEvent:
+    """One thing that happened on the pool since the last poll.
+
+    Kinds:
+
+    * ``done`` — a point completed; ``value`` holds the result.
+    * ``error`` — an attempt raised; ``error`` holds the exception.
+    * ``crash`` — the pool broke under the point; charged like an
+      error (see the module docstring for who gets charged).
+    * ``lost`` — the point was still pending when the pool broke;
+      re-run without charging an attempt.
+    * ``respawn`` — the pool was rebuilt after a break.
+
+    ``handle`` is the point's future, the key the supervisor's pool
+    loop files it under; ``respawn`` carries ``handle=None``.
+    """
+
+    kind: str
+    handle: Any = None
+    value: Any = None
+    error: BaseException | None = None
 
 
 def pool_processes(executor: ProcessPoolExecutor) -> list:
@@ -140,7 +184,7 @@ def release_idle_pool() -> None:
 
 
 class LocalPoolExecutor:
-    """``--executor pool``: worker processes on this machine."""
+    """Worker processes on this machine, reused across maps."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -223,7 +267,8 @@ class LocalPoolExecutor:
             else:
                 events.append(PointEvent(kind="done", handle=future, value=value))
         if broken:
-            # The whole pool is unusable; survivors were not at fault.
+            # The whole pool is unusable.  A future the break has not
+            # failed yet re-runs free; CPython usually fails them all.
             for future in list(self._points):
                 events.append(PointEvent(kind="lost", handle=future))
             self.respawn()
@@ -235,7 +280,7 @@ class LocalPoolExecutor:
         self._points.clear()
         self._fork()
 
-    def cancel(self, grace: float = 5.0) -> None:
+    def cancel(self) -> None:
         terminate_pool(self._pool)
         self._points.clear()
 

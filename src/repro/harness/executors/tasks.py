@@ -1,49 +1,26 @@
-"""Importable sweep tasks for the fabric's chaos harness and demos.
+"""Importable sweep tasks for the pressure harness and the tests.
 
-Fabric workers unpickle ``(task, item)`` payloads from the ledger, so
-a task must live in an importable module — a function defined in
+Pool workers unpickle each ``(task, item)`` pair they run, so a task
+must live in an importable module — a function defined in
 ``__main__`` or a test body pickles by reference to a module the
 worker cannot resolve.  These tasks are module-level precisely so the
-chaos harness, the CI smoke jobs, and the test suite can drive real
-multi-process sweeps through them.
-
-All of them are pure functions of their items (the property the
-fabric's idempotent-retry contract requires), except ``poison_point``,
-whose entire purpose is to violate liveness and prove quarantine.
+pressure harness, the CI smoke jobs, and the test suite can drive real
+multi-process sweeps through them.  Both are pure functions of their
+items, so a re-run after a crash or a resume reproduces the result
+byte-for-byte.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 
-def cosim_mpki_point(item: tuple[str, int, int, int]) -> float:
-    """One real co-simulation grid point: (workload, cores, cache, line).
-
-    Runs the full SoftSDV → FSB → Dragonhead pipeline on a synthetic
-    guest trace and returns the shared-LLC MPKI — the paper's Figure
-    4-6 y-axis.  Deterministic per item, so re-execution after a
-    worker death reproduces the result byte-for-byte.
-    """
-    from repro.cache.emulator import DragonheadConfig
-    from repro.core.cosim import CoSimPlatform
-    from repro.workloads.registry import get_workload
-
-    name, cores, cache_size, line_size = item
-    workload = get_workload(name)
-    guest = workload.synthetic_guest(accesses_per_thread=4096)
-    platform = CoSimPlatform(
-        DragonheadConfig(cache_size=cache_size, line_size=line_size)
-    )
-    return platform.run(guest, cores).mpki
-
-
 def model_mpki_point(item: tuple[str, int, int, int]) -> float:
-    """One analytic-model grid point (same item shape, milliseconds).
+    """One analytic-model grid point: (workload, threads, cache, line).
 
-    The cheap stand-in for :func:`cosim_mpki_point` when a test needs
-    many points and real execution time would dominate.
+    Returns the shared-LLC MPKI (the paper's Figure 4-6 y-axis) from
+    the calibrated memory model, in milliseconds, so a test can afford
+    many points.
     """
     from repro.workloads.profiles import memory_model
 
@@ -54,20 +31,9 @@ def model_mpki_point(item: tuple[str, int, int, int]) -> float:
 def slow_mpki_point(item: tuple[str, int, int, int]) -> float:
     """A model point padded to ~100 ms of wall time.
 
-    Chaos runs need points that are reliably *in flight* when the
-    monkey pulls a trigger; a microsecond task would finish between
-    the kill decision and the signal delivery.
+    Drain and deadline runs need points that are reliably *in flight*
+    when the run is stopped; a microsecond task would finish between
+    the decision and the stop.
     """
     time.sleep(0.1)
     return model_mpki_point(item)
-
-
-def poison_point(item: object) -> float:
-    """A point that kills whatever worker executes it, every time.
-
-    ``os._exit`` (not an exception) models the real failure the
-    quarantine exists for: a host that segfaults or is OOM-killed
-    mid-point leaves no ``failed`` record, only an expired lease — so
-    retries never exhaust and only the dead-holder count can stop it.
-    """
-    os._exit(66)

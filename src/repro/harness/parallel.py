@@ -21,7 +21,7 @@ Outside a :func:`~repro.harness.supervisor.supervise` context the map
 runs under a fresh context with ``retries=0``: the first failing point
 raises :class:`~repro.errors.SweepPointError` (``attempts=1``) naming
 the item, with no backoff.  Inside one, the ambient context applies —
-timeouts, retries, journaling, fault injection, the sweep fabric.
+timeouts, retries, journaling, fault injection.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ The run is a report: each exhibit's ``main()`` runs in this process,
 one after another, with no sweep supervisor around it.  The exhibits
 are closed-form model points plus a few short replays, so a run ends
 in about a second, with nothing worth fanning out or resuming.  Worker
-pools, the shard fabric, journals, harness fault injection and the
-time and memory budgets belong to ``repro-cosim``, whose sweeps run
+pools, journals, harness fault injection and the time and memory
+budgets belong to ``repro-cosim``, whose sweeps run
 long enough to need them.
 """
 

@@ -11,11 +11,8 @@ neither can a long ``repro-cosim`` sweep.  This module is the
 harness-level counterpart of the lenient address filter: it assumes
 points can fail and makes the sweep survive them.
 
-Points run in-process (``jobs`` ≤ 1), on the local worker pool
-(:class:`~repro.harness.executors.local.LocalPoolExecutor`), or, when
-the context carries a :class:`~repro.harness.executors.base.
-FabricConfig`, on the ledger-backed shard fabric
-(:func:`~repro.harness.executors.fabric.run_fabric`).  The local pool
+Points run in-process (``jobs`` ≤ 1) or on the local worker pool
+(:class:`~repro.harness.executors.local.LocalPoolExecutor`).  The pool
 outlives the map that forked it: a map takes the process's idle pool
 when its worker count and telemetry session match and forks one
 otherwise, and a clean map parks it idle again, so workers fork once
@@ -30,18 +27,17 @@ per process rather than once per map.  Around them the supervisor adds
 * **``BrokenProcessPool`` recovery** — a worker dying mid-sweep costs
   one pool respawn and re-runs only the points that were in flight;
 * **a journal** — every completed point is recorded in the sweep's
-  ledger file (:class:`~repro.harness.executors.ledger.FabricLedger`)
+  journal file (:class:`~repro.harness.executors.ledger.FabricLedger`)
   under its content key (task identity + pickled item), so
-  ``--resume`` skips finished work after a crash or a Ctrl-C, on
-  either executor;
+  ``--resume`` skips finished work after a crash or a Ctrl-C;
 * **SIGINT-safe drain** — an interrupt terminates workers, flushes the
   journal, prints a partial-results report, and raises
   :class:`~repro.errors.SweepInterrupted` so callers can exit cleanly.
 
 The determinism contract survives supervision: results are assembled in
 item order and every task is a pure function of its argument, so a
-fault-free run returns the same list serially, pooled, or on the
-fabric — byte-identical output for ``repro-cosim --jobs N``.
+fault-free run returns the same list serially or pooled —
+byte-identical output for ``repro-cosim --jobs N``.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.errors import (
-    ConfigurationError,
     DeadlineExpired,
     FaultInjectionError,
     SweepInterrupted,
@@ -63,9 +58,12 @@ from repro.errors import (
 )
 from repro.faults.spec import FaultSpec
 from repro.governor.budget import active_governor
-from repro.harness.executors.base import FabricConfig, SubmittedPoint
-from repro.harness.executors.ledger import FabricLedger
-from repro.harness.executors.local import LocalPoolExecutor, release_idle_pool
+from repro.harness.executors.ledger import FabricLedger, decode_result
+from repro.harness.executors.local import (
+    LocalPoolExecutor,
+    SubmittedPoint,
+    release_idle_pool,
+)
 from repro.harness.parallel import resolve_jobs
 from repro.serve.jobspec import point_content_key
 from repro.telemetry import runtime as telemetry
@@ -83,8 +81,7 @@ class SupervisorPolicy:
     Attributes:
         timeout: per-point wall-clock budget in seconds (None = no
             limit).  Only enforceable with real worker processes; the
-            serial path documents-and-ignores it, and the shard fabric
-            refuses it.
+            serial path documents-and-ignores it.
         retries: re-runs granted to a failing point after its first
             attempt.
         backoff_base: first retry delay in seconds; attempt ``k`` waits
@@ -115,19 +112,13 @@ class SupervisorContext:
 
     policy: SupervisorPolicy = field(default_factory=SupervisorPolicy)
     #: The sweep's journal: completed points are skipped on resume and
-    #: recorded as they finish, on the pool and on the shard fabric.
+    #: recorded as they finish.
     journal: FabricLedger | None = None
     fault_spec: FaultSpec | None = None
-    #: Shard-fabric shape (``--executor shard``).  None keeps the
-    #: serial/pool routing; set, every supervised map runs on the
-    #: fabric driver instead
-    #: (:func:`repro.harness.executors.fabric.run_fabric`).
-    fabric: FabricConfig | None = None
     #: Aggregated event counters across all supervised maps:
-    #: journal-skip, worker-crash, worker-hang-injected, point-timeout,
-    #: point-retry, pool-respawn, plus
-    #: the fabric's fabric-lease, fabric-steal, fabric-verified,
-    #: fabric-quarantined, and fabric-worker-respawn.
+    #: journal-skip, worker-crash, worker-crash-injected,
+    #: worker-hang-injected, point-timeout, point-retry and
+    #: pool-respawn.
     counts: dict[str, int] = field(default_factory=dict)
     completed: int = 0
     total: int = 0
@@ -178,7 +169,6 @@ def supervise(
     policy: SupervisorPolicy | None = None,
     journal: FabricLedger | None = None,
     fault_spec: FaultSpec | None = None,
-    fabric: FabricConfig | None = None,
 ) -> Iterator[SupervisorContext]:
     """Install a supervisor context for the duration of a sweep.
 
@@ -186,23 +176,12 @@ def supervise(
     uses this context instead of a fresh retries=0 one, so the replay
     passes under a ``repro-cosim`` sweep need no new parameters to
     become fault-tolerant.
-
-    A per-point ``timeout`` is refused on the fabric: shard workers
-    renew a running point's lease for as long as it runs, so nothing
-    there would enforce the budget.
     """
     global _ACTIVE
-    policy = policy or SupervisorPolicy()
-    if policy.timeout is not None and fabric is not None:
-        raise ConfigurationError(
-            "a per-point timeout cannot be enforced on the shard fabric; "
-            "use the pool executor"
-        )
     context = SupervisorContext(
-        policy=policy,
+        policy=policy or SupervisorPolicy(),
         journal=journal,
         fault_spec=fault_spec,
-        fabric=fabric,
     )
     previous = _ACTIVE
     _ACTIVE = context
@@ -267,31 +246,19 @@ def supervised_map(
     context.total += n
     results: list[Any] = [_UNSET] * n
 
-    need_keys = (
-        context.journal is not None
-        or context.fault_spec is not None
-        or context.fabric is not None
-    )
+    need_keys = context.journal is not None or context.fault_spec is not None
     keys = [point_key(task, item) for item in work] if need_keys else None
 
     completed = context.journal.completed() if context.journal is not None else {}
     pending: list[int] = []
     for i in range(n):
         if completed and keys[i] in completed:
-            results[i] = completed[keys[i]].result()
+            results[i] = decode_result(completed[keys[i]])
             context.count("journal-skip")
             context.completed += 1
         else:
             pending.append(i)
     if not pending:
-        return results
-
-    if context.fabric is not None:
-        # Fabric sweep: shard workers own execution; the driver folds
-        # their records back into this ordered list.
-        from repro.harness.executors.fabric import run_fabric
-
-        run_fabric(task, work, pending, keys, results, context)
         return results
 
     workers = min(resolve_jobs(jobs), len(pending))
@@ -359,9 +326,9 @@ def check_deadline(
     every completed point), raise :class:`~repro.errors.DeadlineExpired`
     — a :class:`SweepInterrupted` subclass, so everything that already
     survives Ctrl-C survives deadline expiry for free.  Checked between
-    serial points, per pool-poll cycle, and per fabric cycle; a point
-    already running is never cut down mid-flight (the per-point
-    ``timeout`` owns that), so expiry costs at most one point's latency.
+    serial points and per pool-poll cycle; a point already running is
+    never cut down mid-flight (the per-point ``timeout`` owns that), so
+    expiry costs at most one point's latency.
     """
     governor = active_governor()
     if governor is None or not governor.deadline_expired():
@@ -470,10 +437,8 @@ def _run_pool(
             )
             handle = backend.submit(
                 SubmittedPoint(
-                    index=index,
                     task=task,
                     item=work[index],
-                    key=keys[index] if keys is not None else None,
                     fault=fault,
                     hang_seconds=hang_seconds,
                 )

@@ -24,9 +24,8 @@ Three content keys, one derivation chain:
 
 This module also owns the canonicalization helpers the sweep journal
 keys its records with (:func:`canonicalize`, :func:`point_content_key`,
-:func:`pickle_digest`), so server dedup, journal resume keys, and
-byte-identity checks between racing shard workers can never drift
-apart.
+:func:`raw_digest`), so server dedup, journal resume keys, and the
+journal's result digests can never drift apart.
 """
 
 from __future__ import annotations
@@ -128,8 +127,8 @@ def raw_digest(raw: bytes) -> str:
 def pickle_digest(value: Any) -> str:
     """SHA-256 of ``value``'s protocol-4 pickle bytes.
 
-    The byte-identity currency of the platform: the fabric ledger
-    verifies racing re-executions with it, and the serving layer stamps
+    The byte-identity currency of the platform: the sweep journal
+    stamps every ``done`` record with it, and the serving layer stamps
     every job result with it so "served equals CLI" is one string
     comparison.
     """

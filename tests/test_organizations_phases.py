@@ -165,3 +165,23 @@ class TestCosimCLI:
 
         with pytest.raises(SystemExit):
             main(["--workload", "NOPE"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--executor", "shard"],
+            ["--executor", "pool"],
+            ["--shards", "2"],
+            ["--lease-ttl", "30"],
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_removed_executor_flags_exit_2(self, argv, capsys):
+        # Sweeps run in-process or on the one local pool; there is no
+        # executor to choose.
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workload", "FIMI", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,28 +3,30 @@
 One job spec must yield one ``result_digest`` whichever front door ran
 it: ``JobSpec.run()`` serial or pooled, the same under ``supervise()``,
 a supervised pool whose workers crash and hang under harness fault
-injection, the shard fabric, the replay engine's per-event loop, a
-``run_batch`` slice, or a ``JobServer`` job.  A journal written without
-a trace cache must let a resumed run skip every point and append
-nothing, and a sweep stopped on one executor must finish on the other.
+injection, the replay engine's per-event loop, a ``run_batch`` slice,
+or a ``JobServer`` job.  A journal written without a trace cache must
+let a resumed run skip every point and append nothing, a serial sweep
+stopped partway must finish on the pool, and a ledger the removed
+shard executor left, with the record types it wrote, must resume on
+the pool on exactly its ``done`` keys.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.errors import SweepInterrupted
 from repro.faults.spec import FaultSpec
-from repro.harness.executors.base import FabricConfig
 from repro.harness.executors.ledger import FabricLedger
 from repro.harness.supervisor import SupervisorPolicy, supervise
 from repro.serve.jobspec import JobSpec, result_digest, run_batch
 from repro.serve.server import JobServer
-from repro.trace.cache import TraceCache
 from tests.per_event import per_event_replay
 
 MB = 1024 * 1024
@@ -51,6 +53,10 @@ SPECS = {
 }
 
 
+#: Four sizes, for the sweeps stopped partway.
+SIZES = [MB, 2 * MB, 4 * MB, 8 * MB]
+
+
 def _spec(name: str, **overrides) -> JobSpec:
     return JobSpec.from_json({**SPECS[name], **overrides})
 
@@ -69,12 +75,6 @@ def _supervised_pool_faults(spec: JobSpec, tmp_path: Path):
     assert context.counts.get("worker-crash-injected")
     assert context.counts.get("worker-hang-injected")
     return results
-
-
-def _shard(spec: JobSpec, tmp_path: Path):
-    # No journal: each map runs its workers over a temporary ledger.
-    # Journal-plus-fabric is covered by the resume tests below.
-    return _supervised(spec, tmp_path, fabric=FabricConfig(shards=2, lease_ttl=10.0))
 
 
 def _per_event(spec: JobSpec, tmp_path: Path):
@@ -110,7 +110,6 @@ ROUTES = {
     "supervised-serial": _supervised,
     "supervised-pool": functools.partial(_supervised, jobs=2),
     "supervised-pool-faults": _supervised_pool_faults,
-    "shard": _shard,
     "per-event": _per_event,
     "batch-slice": _batch_slice,
     "served": _served,
@@ -139,6 +138,22 @@ def _done_keys(path: Path) -> list[str]:
     return [row["key"] for row in rows if row.get("type") == "done"]
 
 
+def _stop_at_second_point(patch) -> None:
+    """Make a serial sweep's replay raise Ctrl-C on its second point."""
+    import repro.harness.replay as replay_module
+
+    real_replay = replay_module.replay
+    calls = []
+
+    def stop_at_second_point(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return real_replay(*args, **kwargs)
+
+    patch.setattr(replay_module, "replay", stop_at_second_point)
+
+
 class TestResumeWithoutTraceCache:
     """A point key names the captured log by content, never by the
     temporary directory an uncached log is spilled into."""
@@ -155,45 +170,23 @@ class TestResumeWithoutTraceCache:
         assert _lines(path) == written
         assert result_digest(second) == result_digest(first)
 
-    def test_shard_ledger_resume_skips_every_point(self, tmp_path):
-        spec = _spec("exact")
-        path = tmp_path / "ledger.jsonl"
-        with supervise(journal=FabricLedger(path), fabric=FabricConfig(shards=2)):
-            first = spec.run()
-        written = _lines(path)
-        journal = FabricLedger(path, resume=True)
-        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
-            second = spec.run()
-        assert context.counts.get("journal-skip") == len(spec.cache)
-        assert "fabric-lease" not in context.counts
-        assert _lines(path) == written
-        assert result_digest(second) == result_digest(first)
-
-    def test_shard_ledger_resumes_a_sweep_stopped_partway(self, tmp_path):
-        spec = _spec("exact", cache=[MB, 2 * MB, 4 * MB, 8 * MB])
-        path = tmp_path / "ledger.jsonl"
-
-        def stop_after_first_result(backend, cycle):
-            if any(ps.done for ps in backend.ledger.state.points.values()):
-                raise KeyboardInterrupt
-
-        # One shard, and every first attempt stalls for a second, so the
-        # observer stops the sweep while the second point still sleeps.
-        stopped = FabricConfig(
-            shards=1, grace=0.1, observer=stop_after_first_result
-        )
-        stall = FaultSpec.parse("seed=1,hang=1,hang-seconds=1")
-        with pytest.raises(SweepInterrupted):
-            with supervise(
-                journal=FabricLedger(path), fault_spec=stall, fabric=stopped
-            ):
-                spec.run()
+    def test_pool_journal_resumes_a_sweep_stopped_partway(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _spec("exact", cache=SIZES)
+        path = tmp_path / "journal.jsonl"
+        with monkeypatch.context() as patch:
+            _stop_at_second_point(patch)
+            with pytest.raises(SweepInterrupted):
+                with supervise(journal=FabricLedger(path)):
+                    spec.run()
         finished = len(_done_keys(path))
-        assert 1 <= finished < len(spec.cache)
-        journal = FabricLedger(path, resume=True)
-        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
-            results = spec.run()
+        assert finished == 1
+        with supervise(journal=FabricLedger(path, resume=True)) as context:
+            results = spec.run(jobs=2)
         assert context.counts.get("journal-skip") == finished
+        keys = _done_keys(path)
+        assert len(keys) == len(set(keys)) == len(spec.cache)
         assert result_digest(results) == result_digest(spec.run())
 
     def test_captures_differing_in_a_capture_key_field_never_share_points(
@@ -220,105 +213,142 @@ class TestResumeWithoutTraceCache:
         assert "journal-skip" not in context.counts
 
 
+def _record(kind: str, key: str | None = None, **fields) -> dict:
+    row = {"schema": 3, "type": kind, **fields}
+    if key is not None:
+        row["key"] = key
+    return row
+
+
+def _point_record(key: str, index: int, **fields) -> dict:
+    payload = base64.b85encode(pickle.dumps(("task", index), protocol=4))
+    return _record("point", key, payload=payload.decode("ascii"), **fields)
+
+
+#: The ``config`` record a shard run wrote first.
+CONFIG = _record(
+    "config", lease_ttl=30.0, heartbeat_every=10.0, poll_interval=0.05,
+    retries=2, backoff_base=0.25, backoff_cap=8.0, quarantine_after=3,
+)
+
+
+def _serial_done_rows(spec: JobSpec, tmp_path: Path) -> tuple[list, list[dict]]:
+    """Run ``spec`` serially under a journal: its results, and its
+    ``done`` records in sweep order."""
+    path = tmp_path / "serial.jsonl"
+    with supervise(journal=FabricLedger(path)):
+        results = spec.run()
+    return results, [json.loads(line) for line in path.read_text().splitlines()[1:]]
+
+
+def _resume_on_the_pool(spec: JobSpec, path: Path, rows: list[dict]):
+    """Write ``rows`` as a ledger and resume ``spec`` from it on the
+    pool: the results, the supervisor context and the appended records.
+    The rows written stay untouched."""
+    written = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    path.write_text(written)
+    with supervise(journal=FabricLedger(path, resume=True)) as context:
+        results = spec.run(jobs=2)
+    text = path.read_text()
+    assert text.startswith(written)
+    appended = [json.loads(line) for line in text[len(written):].splitlines()]
+    assert {row["type"] for row in appended} == {"done"}
+    return results, context, appended
+
+
 class TestResumeAcrossExecutors:
-    """One journal, whichever executor wrote it: a sweep stopped on one
-    backend finishes on the other, skips exactly the points the journal
-    holds results for, and records every point once."""
-
-    SIZES = [MB, 2 * MB, 4 * MB, 8 * MB]
-
-    def _check_resumed(self, spec, path, context, results, finished):
-        assert context.counts.get("journal-skip") == finished
-        keys = _done_keys(path)
-        assert len(keys) == len(set(keys)) == len(spec.cache)
-        assert result_digest(results) == result_digest(spec.run())
-
-    def test_pool_journal_resumes_on_the_shard_fabric(self, tmp_path, monkeypatch):
-        import repro.harness.replay as replay_module
-
-        spec = _spec("exact", cache=self.SIZES)
-        path = tmp_path / "journal.jsonl"
-        real_replay = replay_module.replay
-        calls = []
-
-        def stop_at_second_point(*args, **kwargs):
-            calls.append(None)
-            if len(calls) > 1:
-                raise KeyboardInterrupt
-            return real_replay(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(replay_module, "replay", stop_at_second_point)
-            with pytest.raises(SweepInterrupted):
-                with supervise(journal=FabricLedger(path)):
-                    spec.run()
-        finished = len(_done_keys(path))
-        assert finished == 1
-        journal = FabricLedger(path, resume=True)
-        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
-            results = spec.run()
-        self._check_resumed(spec, path, context, results, finished)
+    """The removed shard executor journaled through the same file.  A
+    ledger it left when a sweep stopped partway, one point done and the
+    next still under a live lease, finishes on the pool: exactly the
+    done point is skipped and every other point is recorded once."""
 
     def test_shard_ledger_resumes_on_the_pool(self, tmp_path):
-        spec = _spec("exact", cache=self.SIZES)
-        path = tmp_path / "journal.jsonl"
-
-        def stop_after_first_result(backend, cycle):
-            if any(ps.done for ps in backend.ledger.state.points.values()):
-                raise KeyboardInterrupt
-
-        stopped = FabricConfig(
-            shards=1, grace=0.1, observer=stop_after_first_result
-        )
-        stall = FaultSpec.parse("seed=1,hang=1,hang-seconds=1")
-        with pytest.raises(SweepInterrupted):
-            with supervise(
-                journal=FabricLedger(path), fault_spec=stall, fabric=stopped
-            ):
-                spec.run()
-        finished = len(_done_keys(path))
-        assert 1 <= finished < len(spec.cache)
-        with supervise(journal=FabricLedger(path, resume=True)) as context:
-            results = spec.run(jobs=2)
-        self._check_resumed(spec, path, context, results, finished)
+        spec = _spec("exact", cache=SIZES)
+        serial, done = _serial_done_rows(spec, tmp_path)
+        k0, k1, k2, k3 = (row["key"] for row in done)
+        rows = [{"format": 3}, CONFIG]
+        rows += [_point_record(key, index) for index, key in enumerate((k0, k1, k2, k3))]
+        rows += [
+            _record("claimed", k0, worker="w1", expires=130.0, steal=False, time=100.0),
+            {**done[0], "worker": "w1"},
+            _record("claimed", k1, worker="w1", expires=131.0, steal=False, time=101.0),
+            _record("heartbeat", k1, worker="w1", expires=141.0, time=111.0),
+        ]
+        path = tmp_path / "ledger.jsonl"
+        results, context, appended = _resume_on_the_pool(spec, path, rows)
+        assert context.counts.get("journal-skip") == 1
+        assert sorted(row["key"] for row in appended) == sorted([k1, k2, k3])
+        assert result_digest(results) == result_digest(serial)
 
 
 class TestLedgerWithCheckpointFields:
-    """Fabric runs with the removed ``--checkpoint-dir`` flag wrote a
+    """Shard runs with the removed ``--checkpoint-dir`` flag wrote a
     ``checkpoint`` field on every ``point`` record.  Such a ledger
     still resumes: the field is ignored."""
 
     def test_point_records_with_a_checkpoint_field_still_resume(self, tmp_path):
-        spec = _spec("exact", cache=[MB, 2 * MB, 4 * MB, 8 * MB])
-        # A trace cache keeps each point's payload stable across runs,
-        # so the resumed sweep claims the old records, field and all.
-        cache = TraceCache(tmp_path / "traces")
+        spec = _spec("exact", cache=SIZES)
+        serial, done = _serial_done_rows(spec, tmp_path)
+        k0, k1, k2, k3 = (row["key"] for row in done)
+        ckpts = tmp_path / "ckpts"
+        rows = [{"format": 3}]
+        rows += [
+            _point_record(key, index, checkpoint=str(ckpts / f"{key}.ckpt"))
+            for index, key in enumerate((k0, k1, k2, k3))
+        ]
+        rows += [done[0], done[2]]
         path = tmp_path / "ledger.jsonl"
+        results, context, appended = _resume_on_the_pool(spec, path, rows)
+        assert context.counts.get("journal-skip") == 2
+        assert sorted(row["key"] for row in appended) == sorted([k1, k3])
+        assert result_digest(results) == result_digest(serial)
 
-        def stop_after_first_result(backend, cycle):
-            if any(ps.done for ps in backend.ledger.state.points.values()):
-                raise KeyboardInterrupt
 
-        stopped = FabricConfig(
-            shards=1, grace=0.1, observer=stop_after_first_result
-        )
-        stall = FaultSpec.parse("seed=1,hang=1,hang-seconds=1")
-        with pytest.raises(SweepInterrupted):
-            with supervise(
-                journal=FabricLedger(path), fault_spec=stall, fabric=stopped
-            ):
-                spec.run(trace_cache=cache)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        for row in rows:
-            if row.get("type") == "point":
-                row["checkpoint"] = str(tmp_path / "ckpts" / f"{row['key']}.ckpt")
-        path.write_text(
-            "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-        )
-        finished = len(_done_keys(path))
-        assert 1 <= finished < len(spec.cache)
-        journal = FabricLedger(path, resume=True)
-        with supervise(journal=journal, fabric=FabricConfig(shards=2)) as context:
-            results = spec.run(trace_cache=cache)
-        assert context.counts.get("journal-skip") == finished
-        assert result_digest(results) == result_digest(spec.run())
+class TestLedgerWithRemovedRecordTypes:
+    """Older builds journaled through the same file with eight more
+    record types: ``config``, ``point`` (carrying a ``checkpoint`` field
+    when a sweep ran with the removed ``--checkpoint-dir``), ``claimed``,
+    ``heartbeat``, ``failed``, ``verified``, ``conflict`` and
+    ``quarantined``.  Such a ledger resumes on the pool on exactly its
+    ``done`` keys: every other record is read past."""
+
+    def test_pool_resumes_on_exactly_the_done_keys(self, tmp_path):
+        spec = _spec("exact", cache=SIZES)
+        serial, done = _serial_done_rows(spec, tmp_path)
+        k0, k1, k2, k3 = (row["key"] for row in done)
+        # Points 0 and 2 finished; 1 failed once and 3 was quarantined
+        # before the sweep stopped.
+        ckpts = tmp_path / "ckpts"
+        rows = [{"format": 3}, CONFIG]
+        rows += [
+            _point_record(key, index, checkpoint=str(ckpts / f"{key}.ckpt"))
+            for index, key in enumerate((k0, k1, k2, k3))
+        ]
+        rows += [
+            _record("claimed", k0, worker="w1", expires=130.0, steal=False, time=100.0),
+            _record("heartbeat", k0, worker="w1", expires=140.0, time=110.0),
+            {**done[0], "worker": "w1"},
+            _record("claimed", k1, worker="w2", expires=130.0, steal=False, time=100.0),
+            _record(
+                "failed", k1, worker="w2", attempts=1, error="ValueError: x",
+                retry_after=100.25, time=101.0,
+            ),
+            _record(
+                "verified", k0, worker="w2", sha=done[0]["sha"],
+                expected=done[0]["sha"],
+            ),
+            _record("claimed", k2, worker="w2", expires=135.0, steal=True, time=105.0),
+            {**done[2], "worker": "w2"},
+            _record("conflict", k2, worker="w3", sha="0" * 64, expected=done[2]["sha"]),
+            _record("claimed", k3, worker="w1", expires=131.0, steal=False, time=101.0),
+            _record("heartbeat", k3, worker="w1", expires=141.0, time=111.0),
+            _record(
+                "quarantined", k3, worker="w3", dead_workers=["w1", "w2", "w4"],
+                time=150.0,
+            ),
+        ]
+        path = tmp_path / "ledger.jsonl"
+        results, context, appended = _resume_on_the_pool(spec, path, rows)
+        assert context.counts.get("journal-skip") == 2
+        assert sorted(row["key"] for row in appended) == sorted([k1, k3])
+        assert result_digest(results) == result_digest(serial)

@@ -18,7 +18,11 @@ import pytest
 
 from repro.errors import ConfigurationError, SweepInterrupted, SweepPointError
 from repro.faults.spec import FaultSpec
-from repro.harness.executors.ledger import LEDGER_FORMAT, FabricLedger
+from repro.harness.executors.ledger import (
+    LEDGER_FORMAT,
+    FabricLedger,
+    decode_result,
+)
 from repro.harness.parallel import parallel_map
 from repro.harness.supervisor import (
     SupervisorContext,
@@ -244,6 +248,29 @@ class TestJournalResume:
         assert context.counts["journal-skip"] == 2
 
 
+    def test_resume_without_file_creates_one(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        FabricLedger(path, resume=True)
+        assert path.exists()
+
+    def test_recording_a_done_key_writes_nothing(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        FabricLedger(path).record("k1", 42, wall_time_s=0.1)
+        written = path.read_text()
+        FabricLedger(path, resume=True).record("k1", 42, wall_time_s=0.2)
+        assert path.read_text() == written
+
+    def test_untyped_pool_journal_entries_still_resume(self, tmp_path):
+        """Pool journals used to write results without a ``type``."""
+        path = tmp_path / "journal.jsonl"
+        FabricLedger(path).record("k1", 42)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        del rows[1]["type"], rows[1]["sha"]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        completed = FabricLedger(path, resume=True).completed()
+        assert decode_result(completed["k1"]) == 42
+
+
 class TestInterrupt:
     def test_sigint_drains_to_sweep_interrupted(self, capsys):
         context = SupervisorContext(policy=SupervisorPolicy(backoff_base=0.01))
@@ -274,7 +301,7 @@ class TestJournalDurability:
         journal.record("k1", 42)
         assert len(synced) == before + 1
         assert synced[-1] == path.stat().st_ino
-        assert journal.completed()["k1"].result() == 42
+        assert decode_result(journal.completed()["k1"]) == 42
 
     def test_mid_record_kill_loses_only_the_torn_point(self, tmp_path):
         """SIGKILL delivered mid-``write(2)``: the journal keeps every
@@ -314,10 +341,41 @@ class TestJournalDurability:
         proc = subprocess.run([sys.executable, "-c", script], env=env)
         assert proc.returncode == -signal.SIGKILL
         completed = FabricLedger(path, resume=True).completed()
-        assert {key: ps.result() for key, ps in completed.items()} == {
+        assert {key: decode_result(row) for key, row in completed.items()} == {
             point_key(abs, 1): 1,
             point_key(abs, 2): 4,
         }
+
+
+    def test_torn_tail_is_repaired_not_fused(self, tmp_path):
+        """A record appended after a torn write must not fuse with it."""
+        path = tmp_path / "journal.jsonl"
+        journal = FabricLedger(path)
+        torn = '{"schema": 3, "type": "done", "key": "torn", "result": "AB'
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(torn)
+        journal.record("k", 42)
+        lines = path.read_text().splitlines()
+        # The torn fragment became its own (invalid) line; the appended
+        # record parses cleanly and the fragment's key never surfaces.
+        assert lines[-2] == torn
+        assert json.loads(lines[-1])["key"] == "k"
+        completed = FabricLedger(path, resume=True).completed()
+        assert set(completed) == {"k"}
+        assert decode_result(completed["k"]) == 42
+
+    def test_scan_ignores_incomplete_final_line(self, tmp_path):
+        """A record counts once its terminating newline lands."""
+        path = tmp_path / "journal.jsonl"
+        FabricLedger(path).record("a", 1)
+        row = json.loads(path.read_text().splitlines()[-1])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({**row, "key": "b"}))  # no newline yet
+        reader = FabricLedger(path, resume=True)
+        assert set(reader.completed()) == {"a"}
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+        assert set(reader.completed()) == {"a", "b"}
 
 
 class TestTerminateFallback:
@@ -373,16 +431,15 @@ class TestBrokenPoolSubmit:
     def test_point_refused_by_a_broken_pool_waits_for_the_poll(self):
         from concurrent.futures import wait
 
-        from repro.harness.executors.base import SubmittedPoint
-        from repro.harness.executors.local import LocalPoolExecutor
+        from repro.harness.executors.local import LocalPoolExecutor, SubmittedPoint
 
         backend = LocalPoolExecutor(2)
         try:
             crashed = backend.submit(
-                SubmittedPoint(index=0, task=square, item=2, fault="crash")
+                SubmittedPoint(task=square, item=2, fault="crash")
             )
             wait([crashed])  # the pool is broken; nobody has polled yet
-            point = SubmittedPoint(index=1, task=square, item=3)
+            point = SubmittedPoint(task=square, item=3)
             assert backend.submit(point) is None
             assert [e.kind for e in backend.poll(10.0)] == ["crash", "respawn"]
             handle = backend.submit(point)
@@ -392,12 +449,15 @@ class TestBrokenPoolSubmit:
             backend.cancel()
 
     def test_pool_broken_while_idle_is_rebuilt_on_submit(self):
-        from repro.harness.executors.base import SubmittedPoint
-        from repro.harness.executors.local import LocalPoolExecutor, pool_processes
+        from repro.harness.executors.local import (
+            LocalPoolExecutor,
+            SubmittedPoint,
+            pool_processes,
+        )
 
         backend = LocalPoolExecutor(1)
         try:
-            backend.submit(SubmittedPoint(index=0, task=square, item=2))
+            backend.submit(SubmittedPoint(task=square, item=2))
             assert [e.kind for e in backend.poll(10.0)] == ["done"]
             broken_pool = backend._pool
             for process in pool_processes(broken_pool):
@@ -406,7 +466,7 @@ class TestBrokenPoolSubmit:
             while not broken_pool._broken and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert broken_pool._broken
-            handle = backend.submit(SubmittedPoint(index=1, task=square, item=3))
+            handle = backend.submit(SubmittedPoint(task=square, item=3))
             assert backend._pool is not broken_pool
             [event] = backend.poll(10.0)
             assert (event.kind, event.handle, event.value) == ("done", handle, 9)
@@ -462,11 +522,14 @@ class TestPoolLifetime:
         assert not _pooled_pids() & first
 
     def test_cancel_kills_a_busy_worker(self):
-        from repro.harness.executors.base import SubmittedPoint
-        from repro.harness.executors.local import LocalPoolExecutor, pool_processes
+        from repro.harness.executors.local import (
+            LocalPoolExecutor,
+            SubmittedPoint,
+            pool_processes,
+        )
 
         backend = LocalPoolExecutor(2)
-        backend.submit(SubmittedPoint(index=0, task=time.sleep, item=60))
+        backend.submit(SubmittedPoint(task=time.sleep, item=60))
         time.sleep(0.5)
         pids = {process.pid for process in pool_processes(backend._pool)}
         backend.cancel()
@@ -602,6 +665,18 @@ class TestReapHung:
 class TestJournalV3:
     """The v3 schema: per-entry wall_time_s and attempts cost metadata."""
 
+    def test_fresh_ledger_writes_versioned_header(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        FabricLedger(path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header == {"format": LEDGER_FORMAT}
+
+    def test_refuses_foreign_schema(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"format": 99}\n')
+        with pytest.raises(ConfigurationError, match="schema"):
+            FabricLedger(path, resume=True)
+
     def test_entries_carry_wall_time_and_attempts(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         context = SupervisorContext(journal=FabricLedger(path))
@@ -636,9 +711,9 @@ class TestJournalV3:
         supervised_map(square, [1, 2, 3], jobs=None, context=context)
         completed = FabricLedger(path, resume=True).completed()
         assert len(completed) == 3
-        for ps in completed.values():
-            assert ps.done["attempts"] == 1
-            assert ps.done["wall_time_s"] >= 0.0
+        for row in completed.values():
+            assert row["attempts"] == 1
+            assert row["wall_time_s"] >= 0.0
 
     def test_v2_journal_is_refused(self, tmp_path):
         path = tmp_path / "journal.jsonl"
