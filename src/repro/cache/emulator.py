@@ -331,25 +331,6 @@ class DragonheadEmulator:
             self._oracle.observe(lines)
         self._banked_probe(lines, chunk.kinds, self.af.current_core)
 
-    def snoop_batch(self, chunk: TraceChunk) -> None:
-        """Observe a core-tagged batch of data transactions.
-
-        Unlike :meth:`snoop_chunk`, the chunk's per-access ``cores``
-        tags are honoured, so one batch may span what would otherwise
-        be several CORE_ID-delimited chunks.  Per-bank access order is
-        the stream order (stable grouping), so CC bank state evolves
-        exactly as it would under per-chunk dispatch.
-        """
-        if not self.af.emulating:
-            self.af.filtered_transactions += len(chunk)
-            return
-        if not len(chunk):
-            return
-        lines = chunk.lines(self.config.line_size)
-        if self._oracle is not None:
-            self._oracle.observe(lines)
-        self._banked_probe(lines, chunk.kinds, chunk.cores)
-
     def _banked_probe(self, lines, kinds, cores, collect_hits: bool = False):
         """Route one line batch to the CC banks, vectorized.
 

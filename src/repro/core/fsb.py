@@ -37,18 +37,6 @@ class FSBTransaction:
         """Whether this transaction encodes a protocol message."""
         return MessageCodec.is_message(self.address)
 
-    @property
-    def message_opcode(self) -> int | None:
-        """The raw opcode field for message transactions, else None.
-
-        A classification peek (no decoder state): lossy-channel shims
-        like :class:`~repro.faults.injector.FaultInjector` use it to
-        route stat-read messages to their own fault channel.
-        """
-        if not self.is_message:
-            return None
-        return MessageCodec.peek_opcode(self.address)
-
 
 class BusSnooper(Protocol):
     """Anything that passively observes bus traffic (e.g. Dragonhead)."""
@@ -83,10 +71,6 @@ class FrontSideBus:
         self.transactions_issued += 1
         for snooper in self._snoopers:
             snooper.snoop(transaction)
-
-    def issue_address(self, address: int, kind: AccessKind = AccessKind.READ) -> None:
-        """Convenience wrapper for message transactions."""
-        self.issue(FSBTransaction(address=address, kind=kind))
 
     def issue_chunk(self, chunk: TraceChunk) -> None:
         """Place a whole trace chunk on the bus, in order."""

@@ -128,18 +128,6 @@ class FaultSpec:
             spec = replace(spec, **{field_name: value})
         return spec
 
-    def describe(self) -> str:
-        """Render the non-default channels back into FAULTSPEC form."""
-        default = FaultSpec()
-        parts = [f"seed={self.seed}"]
-        for name, (field_name, _) in _CHANNELS.items():
-            if name == "seed":
-                continue
-            value = getattr(self, field_name)
-            if value != getattr(default, field_name):
-                parts.append(f"{name}={value}")
-        return ",".join(parts)
-
     @property
     def touches_bus(self) -> bool:
         """Whether any bus-level channel is active (needs an injector)."""

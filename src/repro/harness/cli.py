@@ -532,15 +532,12 @@ def _main(args: argparse.Namespace) -> int:
     return exit_code
 
 
-#: Flags the sampled path cannot honour: fault injection, lenient
-#: resynchronization, auditing, journaling, and phase analysis all
-#: assume the full stream goes through the emulator.
+#: Flags the sampled path cannot honour: journaling and phase analysis
+#: assume the full stream goes through the emulator.  The job spec
+#: itself refuses --inject, --lenient and --audit with --sample, and
+#: --resume needs --journal.
 _SAMPLE_CONFLICTS = (
-    ("--inject", "inject"),
-    ("--lenient", "lenient"),
-    ("--audit", "audit"),
     ("--journal", "journal"),
-    ("--resume", "resume"),
     ("--phases", "phases"),
 )
 
@@ -645,14 +642,11 @@ def _report(
         governor = active_governor()
         governor_records = tuple(governor.records) if governor is not None else ()
         if fault_spec is not None or args.lenient or governor_records:
-            if telemetry.enabled():
-                # Satellite of the same counters publish_results wrote:
-                # one counting path, same byte-identical report ordering.
-                merged = profiling.registry_degradation_records(telemetry.registry())
-            else:
-                merged = merge_records(*(result.degradation for result in results))
+            merged = merge_records(
+                *(result.degradation for result in results), governor_records
+            )
             print()
-            print(render_degradation_report(merge_records(merged, governor_records)))
+            print(render_degradation_report(merged))
         if ctx.counts:
             # Noteworthy only: empty on a clean un-resumed run, so the
             # byte-identical serial-vs-parallel contract is undisturbed.
@@ -662,7 +656,7 @@ def _report(
             # budget-free runs print exactly what they always printed.
             print(f"governor events: {governor.describe()}")
         if args.fail_on_degraded and (
-            any(result is not None and result.degraded for result in results)
+            any(result.degraded for result in results)
             or governor_records
         ):
             print("failing: degradation records present (--fail-on-degraded)")

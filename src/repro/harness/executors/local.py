@@ -1,45 +1,40 @@
 """The local worker pool: the only process pool in the harness.
 
-Wraps one :class:`~concurrent.futures.ProcessPoolExecutor`.  The
-supervised pool loop (``repro.harness.supervisor._run_pool``) drives
-it through ``submit``/``poll``/``respawn``/``cancel``/``close``, hands
-it one :class:`SubmittedPoint` per attempt and reads its answers as
+Each worker runs in its own *lane*, a single-worker
+:class:`~concurrent.futures.ProcessPoolExecutor`.  The supervised pool
+loop (``repro.harness.supervisor._run_pool``) drives the lanes through
+``submit``/``poll``/``kill``/``cancel``/``close``, starts one attempt
+at a point per free lane, and reads the answers as
 :class:`PointEvent` records.
 
+**One point per lane.**  CPython breaks a pool as a whole when one of
+its workers dies and fails every future in flight on it.  A lane runs
+one point at a time, so a dead worker fails only its own point: that
+point is charged a ``crash`` and the lane is re-forked, while every
+other lane's point keeps running.  A point that overruns ``--timeout``
+is charged the same way: ``kill`` terminates only its lane.
+
 **Pool lifetime.**  Workers fork once per process, not once per map.
-A :class:`LocalPoolExecutor` takes the process's idle pool when that
-pool has the map's worker count and was forked under the current
-telemetry session, and forks a new pool otherwise; its ``close``
-parks the pool idle again after a clean map.  At most one pool is parked:
-taking it empties the slot, so two maps running at once on different
-threads never share workers.  The pool is bound to the telemetry
-session because a forked worker keeps the session it forked under and
-writes its spans and window events into that session's event log.  A
-pool is dropped, never parked, on ``cancel`` (a failed point, Ctrl-C,
-an expired deadline); ``respawn`` replaces it; the supervisor's memory
-clamp terminates the idle one (:func:`release_idle_pool`); and
-``ProcessPoolExecutor``'s own exit hook joins it when the interpreter
-exits.  Until then its idle workers keep their memory.
+A :class:`LocalPoolExecutor` takes the process's idle lanes when there
+are as many as the map's worker count and they were forked under the
+current telemetry session, and forks new lanes otherwise; its
+``close`` parks the lanes idle again after a clean map.  At most one
+set of lanes is parked: taking it empties the slot, so two maps running
+at once on different threads never share workers.  The lanes are bound
+to the telemetry session because a forked worker keeps the session it
+forked under and writes its spans and window events into that
+session's event log.  Lanes are dropped, never parked, on ``cancel`` (a
+failed point, Ctrl-C, an expired deadline); the supervisor's memory
+clamp terminates idle ones (:func:`release_idle_pool`); and
+``ProcessPoolExecutor``'s own exit hook joins them when the interpreter
+exits.  Until then idle workers keep their memory.  A worker that dies
+while its lane sits idle breaks only that lane, which the next
+``submit`` re-forks free of charge.
 
 Every worker exits once the process that forked it dies, and ignores
 SIGINT (see :func:`_init_worker`), so idle workers never outlive a
 SIGKILLed parent and a terminal Ctrl-C reaches only the parent, whose
 supervisor drains the sweep and terminates them.
-
-One honest limitation is encoded here rather than hidden: when a pool
-worker dies, CPython's pool breaks *entirely*, and it fails every
-in-flight future with :class:`BrokenProcessPool` at once.  ``poll``
-reports each of those futures as a ``crash`` event, so every point in
-flight is charged an attempt, not only the one whose worker died.  With
-two points in flight on two workers, one point calling ``os._exit``
-counts ``worker-crash=2``, and with ``retries=0`` the sweep fails on
-whichever point the loop reads first, innocent or not.  The pool does
-not know which worker ran which point, so it cannot tell the killer
-from its victims.  A ``lost`` event (re-run free of charge) goes only
-to a future still pending when ``poll`` saw the break, which CPython's
-all-at-once failure makes rare.  A ``respawn`` event follows after the
-backend has already rebuilt the pool.  A pool that broke while idle is
-rebuilt by the next ``submit``, free of charge.
 """
 
 from __future__ import annotations
@@ -61,39 +56,22 @@ PARENT_POLL_S = 0.2
 
 
 @dataclass(frozen=True)
-class SubmittedPoint:
-    """One attempt at one grid point.
-
-    ``fault``/``hang_seconds`` carry a planned harness fault for this
-    attempt.
-    """
-
-    task: Callable
-    item: Any
-    fault: str | None = None
-    hang_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
 class PointEvent:
-    """One thing that happened on the pool since the last poll.
+    """One thing that happened to a point since the last poll.
 
     Kinds:
 
-    * ``done`` — a point completed; ``value`` holds the result.
-    * ``error`` — an attempt raised; ``error`` holds the exception.
-    * ``crash`` — the pool broke under the point; charged like an
-      error (see the module docstring for who gets charged).
-    * ``lost`` — the point was still pending when the pool broke;
-      re-run without charging an attempt.
-    * ``respawn`` — the pool was rebuilt after a break.
+    * ``done`` — the point completed; ``value`` holds the result.
+    * ``error`` — the attempt raised; ``error`` holds the exception.
+    * ``crash`` — the point's worker died under it; its lane has been
+      re-forked.  Charged like an error.
 
     ``handle`` is the point's future, the key the supervisor's pool
-    loop files it under; ``respawn`` carries ``handle=None``.
+    loop files it under.
     """
 
     kind: str
-    handle: Any = None
+    handle: Future
     value: Any = None
     error: BaseException | None = None
 
@@ -155,16 +133,40 @@ def _init_worker() -> None:
     ).start()
 
 
-class _Parked(NamedTuple):
-    """An idle pool with the worker count and telemetry session it
-    was forked with."""
+def _run_point(task: Callable, item: Any, fault: str | None, hang_seconds: float):
+    """Execute one grid point in a worker, applying any planned fault.
 
-    pool: ProcessPoolExecutor
-    workers: int
+    An injected *crash* kills the worker process outright (the honest
+    analog of a segfaulting host — it must surface as
+    ``BrokenProcessPool``, not as a tidy exception); an injected *hang*
+    stalls for ``hang_seconds`` before running the point, so an untimed
+    sweep still finishes, merely late.
+    """
+    if fault == "crash":
+        os._exit(73)
+    elif fault == "hang":
+        time.sleep(hang_seconds)
+    return task(item)
+
+
+def _fork_lane() -> ProcessPoolExecutor:
+    """A new lane; its one worker forks at the lane's first submit."""
+    return ProcessPoolExecutor(max_workers=1, initializer=_init_worker)
+
+
+def _terminate_lanes(lanes: list[ProcessPoolExecutor]) -> None:
+    for lane in lanes:
+        terminate_pool(lane)
+
+
+class _Parked(NamedTuple):
+    """Idle lanes with the telemetry session they were forked under."""
+
+    lanes: list[ProcessPoolExecutor]
     session: object
 
 
-#: The idle pool, parked by the last map that finished cleanly.
+#: The idle lanes, parked by the last map that finished cleanly.
 _idle: _Parked | None = None
 _idle_lock = threading.Lock()
 
@@ -177,82 +179,73 @@ def _take_idle() -> _Parked | None:
 
 
 def release_idle_pool() -> None:
-    """Terminate the idle pool, if one is parked."""
+    """Terminate the idle lanes, if any are parked."""
     idle = _take_idle()
     if idle is not None:
-        terminate_pool(idle.pool)
+        _terminate_lanes(idle.lanes)
 
 
 class LocalPoolExecutor:
-    """Worker processes on this machine, reused across maps."""
+    """Worker processes on this machine, one lane each, reused across maps."""
 
     def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._points: dict[Future, SubmittedPoint] = {}
+        self._session = telemetry.current_session()
+        #: Lane index of each point in flight.
+        self._running: dict[Future, int] = {}
         idle = _take_idle()
         if (
             idle is not None
-            and idle.workers == workers
-            and idle.session is telemetry.current_session()
+            and len(idle.lanes) == workers
+            and idle.session is self._session
         ):
-            self._pool, self._session = idle.pool, idle.session
+            self._lanes = idle.lanes
         else:
             if idle is not None:
-                terminate_pool(idle.pool)
-            self._fork()
+                _terminate_lanes(idle.lanes)
+            self._lanes = [_fork_lane() for _ in range(workers)]
 
-    def _fork(self) -> None:
-        self._session = telemetry.current_session()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_init_worker
-        )
+    def _refork(self, lane: int) -> None:
+        terminate_pool(self._lanes[lane])
+        self._lanes[lane] = _fork_lane()
 
-    def submit(self, point: SubmittedPoint) -> Future | None:
-        """Start ``point``; None if the pool broke since the last poll.
+    def submit(
+        self,
+        task: Callable,
+        item: Any,
+        fault: str | None = None,
+        hang_seconds: float = 0.0,
+    ) -> Future:
+        """Start one attempt at ``task(item)`` on a free lane.
 
-        A worker that dies between two polls breaks the pool before
-        its in-flight futures fail, and the pool then refuses new work.
-        The refused point never started: the caller requeues it, and
-        the next poll reports the casualties and rebuilds the pool.  A
-        pool that broke with nothing in flight (a worker that died
-        while the pool sat idle between maps) has no poll coming, so
-        it is rebuilt here.
+        The caller keeps at most one point in flight per lane.
+        ``fault``/``hang_seconds`` carry a planned harness fault for
+        this attempt.  A lane whose worker died while it sat idle
+        refuses the point; it is re-forked and the point runs there.
         """
-        # Imported here to avoid a module cycle: the supervisor imports
-        # this backend at module level.
-        from repro.harness.supervisor import _run_point
-
-        args = (
-            _run_point,
-            point.task,
-            point.item,
-            point.fault,
-            point.hang_seconds,
-        )
+        busy = set(self._running.values())
+        lane = next(i for i in range(len(self._lanes)) if i not in busy)
+        args = (_run_point, task, item, fault, hang_seconds)
         try:
-            future = self._pool.submit(*args)
+            future = self._lanes[lane].submit(*args)
         except BrokenProcessPool:
-            if self._points:
-                return None
-            self.respawn()
-            future = self._pool.submit(*args)
-        self._points[future] = point
+            self._refork(lane)
+            future = self._lanes[lane].submit(*args)
+        self._running[future] = lane
         return future
 
     def poll(self, timeout: float | None) -> list[PointEvent]:
-        if not self._points:
+        if not self._running:
             return []
         done, _ = wait(
-            set(self._points), timeout=timeout, return_when=FIRST_COMPLETED
+            set(self._running), timeout=timeout, return_when=FIRST_COMPLETED
         )
         events: list[PointEvent] = []
-        broken = False
         for future in done:
-            self._points.pop(future)
+            lane = self._running.pop(future)
             try:
                 value = future.result(timeout=0)
             except BrokenProcessPool:
-                broken = True
+                self._refork(lane)
                 events.append(
                     PointEvent(
                         kind="crash",
@@ -266,29 +259,21 @@ class LocalPoolExecutor:
                 events.append(PointEvent(kind="error", handle=future, error=error))
             else:
                 events.append(PointEvent(kind="done", handle=future, value=value))
-        if broken:
-            # The whole pool is unusable.  A future the break has not
-            # failed yet re-runs free; CPython usually fails them all.
-            for future in list(self._points):
-                events.append(PointEvent(kind="lost", handle=future))
-            self.respawn()
-            events.append(PointEvent(kind="respawn"))
         return events
 
-    def respawn(self) -> None:
-        terminate_pool(self._pool)
-        self._points.clear()
-        self._fork()
+    def kill(self, future: Future) -> None:
+        """Terminate the worker running ``future`` and re-fork its lane."""
+        self._refork(self._running.pop(future))
 
     def cancel(self) -> None:
-        terminate_pool(self._pool)
-        self._points.clear()
+        _terminate_lanes(self._lanes)
+        self._running.clear()
 
     def close(self) -> None:
-        """Park the pool idle for the next map; every point is done."""
+        """Park the lanes idle for the next map; every point is done."""
         global _idle
-        parked = _Parked(self._pool, self.workers, self._session)
+        parked = _Parked(self._lanes, self._session)
         with _idle_lock:
             displaced, _idle = _idle, parked
         if displaced is not None:
-            terminate_pool(displaced.pool)
+            _terminate_lanes(displaced.lanes)

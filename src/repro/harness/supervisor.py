@@ -18,14 +18,14 @@ when its worker count and telemetry session match and forks one
 otherwise, and a clean map parks it idle again, so workers fork once
 per process rather than once per map.  Around them the supervisor adds
 
-* **per-point wall-clock timeouts** — a hung worker is terminated, the
-  pool respawned, and only the victim point re-queued;
+* **per-point wall-clock timeouts** — a hung point's worker is
+  terminated and its lane re-forked, and only that point is retried;
 * **bounded retries with exponential backoff** — transient failures
   (including injected worker crashes and hangs) are re-run up to
   ``retries`` times before the point is declared dead and the sweep
   fails with :class:`~repro.errors.SweepPointError`;
-* **``BrokenProcessPool`` recovery** — a worker dying mid-sweep costs
-  one pool respawn and re-runs only the points that were in flight;
+* **crash recovery** — a worker dying mid-point costs its lane a
+  re-fork and charges only the point it was running;
 * **a journal** — every completed point is recorded in the sweep's
   journal file (:class:`~repro.harness.executors.ledger.FabricLedger`)
   under its content key (task identity + pickled item), so
@@ -42,7 +42,6 @@ byte-identical output for ``repro-cosim --jobs N``.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from collections import deque
@@ -59,11 +58,7 @@ from repro.errors import (
 from repro.faults.spec import FaultSpec
 from repro.governor.budget import active_governor
 from repro.harness.executors.ledger import FabricLedger, decode_result
-from repro.harness.executors.local import (
-    LocalPoolExecutor,
-    SubmittedPoint,
-    release_idle_pool,
-)
+from repro.harness.executors.local import LocalPoolExecutor, release_idle_pool
 from repro.harness.parallel import resolve_jobs
 from repro.serve.jobspec import point_content_key
 from repro.telemetry import runtime as telemetry
@@ -191,25 +186,6 @@ def supervise(
         _ACTIVE = previous
 
 
-# -- worker-side entry ---------------------------------------------------
-
-
-def _run_point(task: Callable, item: Any, fault: str | None, hang_seconds: float):
-    """Execute one grid point in a worker, applying any planned fault.
-
-    An injected *crash* kills the worker process outright (the honest
-    analog of a segfaulting host — it must surface as
-    ``BrokenProcessPool``, not as a tidy exception); an injected *hang*
-    stalls for ``hang_seconds`` before running the point, so an untimed
-    sweep still finishes, merely late.
-    """
-    if fault == "crash":
-        os._exit(73)
-    elif fault == "hang":
-        time.sleep(hang_seconds)
-    return task(item)
-
-
 # -- the supervised map --------------------------------------------------
 
 
@@ -234,8 +210,8 @@ def supervised_map(
     """Map ``task`` over ``items`` under supervision; ordered results.
 
     A fault-free run returns the same list on every route.  Under
-    faults, points are retried with backoff, hung or crashed workers
-    cost a pool respawn plus re-runs of only the affected points,
+    faults, points are retried with backoff, a hung or crashed worker
+    costs a re-fork of its lane and a retry of only its own point,
     completed points are journaled as they finish, and SIGINT drains to
     a partial report plus :class:`SweepInterrupted`.
     """
@@ -410,10 +386,10 @@ def _run_pool(
     context: SupervisorContext,
     workers: int,
 ) -> None:
-    """The supervised pool loop, driven through the ``pool`` backend.
+    """The supervised pool loop: one point in flight per worker lane.
 
-    The backend takes the idle pool or forks one; a clean map parks it
-    for the next map, and any other exit drops it.
+    The backend takes the idle lanes or forks new ones; a clean map
+    parks them for the next map, and any other exit drops them.
     """
     policy = context.policy
     attempts = {i: 0 for i in pending}
@@ -421,38 +397,20 @@ def _run_pool(
     queue: deque[tuple[int, float]] = deque((i, 0.0) for i in pending)
     inflight: dict[Any, _Flight] = {}
     backend = LocalPoolExecutor(workers)
-
-    def respawn() -> None:
-        backend.respawn()
-        context.count("pool-respawn")
+    hang_seconds = context.fault_spec.hang_seconds if context.fault_spec else 0.0
 
     def submit_ready(now: float) -> None:
         while queue and len(inflight) < workers:
             index, ready_at = queue[0]
             if ready_at > now:
                 break
-            fault = _point_fault(context, keys, index, attempts[index])
-            hang_seconds = (
-                context.fault_spec.hang_seconds if context.fault_spec else 0.0
-            )
-            handle = backend.submit(
-                SubmittedPoint(
-                    task=task,
-                    item=work[index],
-                    fault=fault,
-                    hang_seconds=hang_seconds,
-                )
-            )
-            if handle is None:
-                break  # the pool broke; the next poll rebuilds it
             queue.popleft()
+            fault = _point_fault(context, keys, index, attempts[index])
+            handle = backend.submit(task, work[index], fault, hang_seconds)
             deadline = now + policy.timeout if policy.timeout else None
             inflight[handle] = _Flight(
                 index=index, deadline=deadline, submitted=time.monotonic()
             )
-
-    def requeue(index: int, *, delay: float = 0.0) -> None:
-        queue.append((index, time.monotonic() + delay))
 
     def on_failure(index: int, cause: BaseException, kind: str) -> None:
         """Count a failed attempt; requeue with backoff or fail the sweep."""
@@ -462,7 +420,7 @@ def _run_pool(
                 work[index], cause, attempts=attempts[index]
             ) from cause
         context.count(kind)
-        requeue(index, delay=_backoff(policy, attempts[index]))
+        queue.append((index, time.monotonic() + _backoff(policy, attempts[index])))
 
     try:
         while queue or inflight:
@@ -477,14 +435,7 @@ def _run_pool(
                 continue
             wait_for = _deadline_capped(_next_wakeup(policy, queue, inflight, now))
             for event in backend.poll(wait_for):
-                if event.kind == "respawn":
-                    # The backend already rebuilt its broken pool; the
-                    # lost/crash events around this one re-route points.
-                    context.count("pool-respawn")
-                    continue
-                flight = inflight.pop(event.handle, None)
-                if flight is None:
-                    continue
+                flight = inflight.pop(event.handle)
                 if event.kind == "done":
                     _finish(
                         context,
@@ -496,23 +447,20 @@ def _run_pool(
                         attempts=attempts[flight.index] + 1,
                     )
                 elif event.kind == "crash":
+                    # The backend has already re-forked the dead lane.
+                    context.count("pool-respawn")
                     on_failure(flight.index, event.error, "worker-crash")
-                elif event.kind == "error":
+                else:
                     on_failure(flight.index, event.error, "point-retry")
-                elif event.kind == "lost":
-                    # An innocent casualty of a pool collapse: re-run
-                    # without charging an attempt.
-                    requeue(flight.index)
-            _reap_hung(
-                context, policy, inflight, requeue, on_failure, respawn
-            )
+            _reap_hung(context, inflight, backend, on_failure)
     except KeyboardInterrupt:
         backend.cancel()
         _drain_report(context, results)
         raise SweepInterrupted(context.completed, context.total) from None
     except BaseException:
-        # A point out of retries, an expired deadline or a bug: the pool
-        # may still be running points, so it is dropped, not parked.
+        # A point out of retries, an expired deadline or a bug: the
+        # lanes may still be running points, so they are dropped, not
+        # parked.
         backend.cancel()
         raise
     backend.close()
@@ -537,30 +485,22 @@ def _next_wakeup(
     return max(0.05, min(horizons))
 
 
-def _reap_hung(context, policy, inflight, requeue, on_failure, respawn) -> None:
-    """Kill the pool if any point overran its deadline; re-queue victims."""
+def _reap_hung(context, inflight, backend, on_failure) -> None:
+    """Kill the lane of every point past its deadline; charge the point."""
     now = time.monotonic()
-    expired = [
-        (future, flight)
-        for future, flight in inflight.items()
-        if flight.deadline is not None and now > flight.deadline and not future.done()
-    ]
-    if not expired:
-        return
-    hung = {future for future, _ in expired}
-    survivors = [flight.index for future, flight in inflight.items() if future not in hung]
-    inflight.clear()
-    respawn()
-    for _, flight in expired:
+    for future, flight in list(inflight.items()):
+        if flight.deadline is None or now <= flight.deadline or future.done():
+            continue
+        del inflight[future]
+        backend.kill(future)
+        context.count("pool-respawn")
         on_failure(
             flight.index,
             FaultInjectionError(
-                f"point exceeded its {policy.timeout:.1f}s wall-clock budget"
+                f"point exceeded its {context.policy.timeout:.1f}s wall-clock budget"
             ),
             "point-timeout",
         )
-    for index in survivors:
-        requeue(index)
 
 
 def _drain_report(

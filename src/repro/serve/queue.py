@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ServeError
 from repro.serve.jobspec import JobSpec
@@ -280,10 +280,6 @@ class JobQueue:
     def depth(self) -> int:
         with self._lock:
             return len(self._pending)
-
-    def pending_jobs(self) -> Iterator[Job]:
-        with self._lock:
-            return iter(list(self._pending))
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

@@ -45,13 +45,10 @@ def publish_results(registry: MetricRegistry, results: Iterable) -> None:
     """Fold a result list's aggregates into the registry, parent-side.
 
     Also publishes every result's degradation records as
-    ``repro_fault_events_total{kind,source,detail}`` counters — the one
-    counting path the degradation report reads from, replacing the old
-    re-walk over each result's ``PerformanceData``.
+    ``repro_fault_events_total{kind,source,detail}`` counters, which the
+    profile's ``degradation_events`` total reads back.
     """
     for result in results:
-        if result is None:  # a degraded sweep point's failure value
-            continue
         registry.counter(RUNS_TOTAL).inc()
         registry.counter(INSTRUCTIONS_TOTAL).inc(result.instructions)
         registry.counter(ACCESSES_TOTAL).inc(result.accesses)
@@ -73,10 +70,8 @@ def registry_degradation_records(
     """Degradation records, re-read from the registry's counters.
 
     The inverse of what :func:`publish_results` wrote: one record per
-    ``repro_fault_events_total`` label set.  ``merge_records`` gives the
-    same (kind, source, detail) sort order the per-result merge used, so
-    a report rendered from the registry is byte-identical to one merged
-    directly from the results.
+    ``repro_fault_events_total`` label set, in the (kind, source,
+    detail) order ``merge_records`` gives the results' own records.
     """
     records = []
     for labels, value in registry.values_by_label(FAULT_EVENTS_TOTAL).items():
@@ -120,7 +115,6 @@ def build_profile(
     totals against fresh sums over ``results`` and the phase spans
     against the root span.
     """
-    live = [r for r in results if r is not None]
     total_seconds = tracker.total_seconds()
     phases = {
         name: {
@@ -133,10 +127,10 @@ def build_profile(
     phase_sum = sum(p["seconds"] for p in phases.values())
     coverage = (phase_sum / total_seconds) if total_seconds > 0 else 1.0
 
-    instructions = sum(r.instructions for r in live)
-    accesses = sum(r.accesses for r in live)
-    misses = sum(r.llc_stats.misses for r in live)
-    windows = sum(len(r.samples) for r in live)
+    instructions = sum(r.instructions for r in results)
+    accesses = sum(r.accesses for r in results)
+    misses = sum(r.llc_stats.misses for r in results)
+    windows = sum(len(r.samples) for r in results)
 
     replay_seconds = phases.get("replay", {}).get("seconds", 0.0)
     rate_base = replay_seconds if replay_seconds > 0 else total_seconds
@@ -148,7 +142,7 @@ def build_profile(
 
     reconciled = (
         coverage >= PHASE_COVERAGE_FLOOR
-        and int(_counter_value(registry, RUNS_TOTAL)) == len(live)
+        and int(_counter_value(registry, RUNS_TOTAL)) == len(results)
         and int(_counter_value(registry, INSTRUCTIONS_TOTAL)) == instructions
         and int(_counter_value(registry, ACCESSES_TOTAL)) == accesses
         and int(_counter_value(registry, MISSES_TOTAL)) == misses
@@ -158,7 +152,7 @@ def build_profile(
         "total_seconds": total_seconds,
         "phases": phases,
         "phase_coverage": coverage,
-        "runs": len(live),
+        "runs": len(results),
         "instructions": instructions,
         "accesses": accesses,
         "misses": misses,

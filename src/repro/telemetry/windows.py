@@ -96,6 +96,3 @@ class WindowStream:
             if series.label == label:
                 return series
         return None
-
-    def total_windows(self) -> int:
-        return sum(len(series.samples) for series in self.series)

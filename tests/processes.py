@@ -30,11 +30,20 @@ def wait_exited(pids, timeout: float = 10.0) -> list[int]:
     return alive
 
 
+def lane_pids(lanes) -> set[int]:
+    """Worker pids of a list of worker lanes."""
+    from repro.harness.executors import local
+
+    return {
+        process.pid for lane in lanes for process in local.pool_processes(lane)
+    }
+
+
 def idle_pool_pids() -> set[int]:
-    """Worker pids of the pool parked idle between maps (empty if none)."""
+    """Worker pids of the lanes parked idle between maps (empty if none)."""
     from repro.harness.executors import local
 
     idle = local._idle
     if idle is None:
         return set()
-    return {process.pid for process in local.pool_processes(idle.pool)}
+    return lane_pids(idle.lanes)

@@ -208,39 +208,6 @@ class TestBankShift:
             assert bank_chunk.stats.misses == bank_scalar.stats.misses
             assert bank_chunk.stats.accesses == bank_scalar.stats.accesses
 
-    def test_scalar_and_batch_paths_agree_with_core_switches(self):
-        """snoop() with interleaved CORE_ID messages equals one
-        core-tagged snoop_batch() call — same routing, same per-core
-        attribution, same per-bank state."""
-        import numpy as np
-
-        rng = np.random.default_rng(87)
-        chunk = uniform_random(Region(0, 4 * MB), count=4096, rng=rng)
-        cores = rng.integers(0, 4, size=len(chunk)).astype(np.uint16)
-        tagged = TraceChunk(chunk.addresses, chunk.kinds, cores, chunk.pcs)
-        config = DragonheadConfig(cache_size=1 * MB)
-        by_batch = DragonheadEmulator(config)
-        by_scalar = DragonheadEmulator(config)
-        start(by_batch)
-        start(by_scalar)
-        by_batch.snoop_batch(tagged)
-        current = 0
-        for address, kind, core in zip(
-            chunk.addresses.tolist(), chunk.kinds.tolist(), cores.tolist()
-        ):
-            if core != current:
-                send(by_scalar, Message(MessageKind.CORE_ID, core))
-                current = core
-            by_scalar.snoop(FSBTransaction(address=address, kind=AccessKind(kind)))
-        assert by_batch.stats == by_scalar.stats
-        for bank_batch, bank_scalar in zip(by_batch.banks, by_scalar.banks):
-            assert bank_batch.stats == bank_scalar.stats
-            # Full LRU directory state (residency + recency order).
-            state_batch = bank_batch.state_dict()["policy"]
-            state_scalar = bank_scalar.state_dict()["policy"]
-            assert np.array_equal(state_batch["lengths"], state_scalar["lengths"])
-            assert np.array_equal(state_batch["tags"], state_scalar["tags"])
-
 
 class TestReconfigure:
     def test_reconfigure_clears_all_emulation_state(self):

@@ -2,9 +2,10 @@
 
 The contract under test: fault-free supervised runs return exactly what
 ``parallel_map`` returns; under faults — worker crashes, hangs, flaky
-exceptions, SIGINT — the supervisor retries with backoff, respawns the
-pool, journals completed points for ``--resume``, and a point out of
-retries fails loudly with the offending grid point attached.
+exceptions, SIGINT — the supervisor retries with backoff, re-forks the
+lane of a dead or hung worker, journals completed points for
+``--resume``, and a point out of retries fails loudly with the
+offending grid point attached.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.harness.supervisor import (
     supervised_map,
 )
 from repro.telemetry import runtime as telemetry
-from tests.processes import exited, idle_pool_pids, wait_exited
+from tests.processes import exited, idle_pool_pids, lane_pids, wait_exited
 
 
 # -- module-level tasks (they cross process boundaries) -----------------
@@ -72,6 +73,38 @@ def hang_once(item):
     return value + 100
 
 
+def dies_once_or_sleeps(item):
+    """Point 0 kills its worker 0.3 s in, once; point 1 sleeps 1 s.
+
+    Each start of point 1 appends to a file, so a test can count them.
+    """
+    value, marker_dir = item
+    if value == 0:
+        marker = os.path.join(marker_dir, "died")
+        if not os.path.exists(marker):
+            time.sleep(0.3)
+            open(marker, "w").close()
+            os._exit(9)
+    else:
+        with open(os.path.join(marker_dir, "starts-1"), "a") as handle:
+            handle.write("x")
+        time.sleep(1.0)
+    return value * 10
+
+
+def hangs_once_or_paces(item):
+    """Point 0 hangs on its first start; point 1 takes 0.5 s, point 2
+    0.75 s.  Each start appends to a file named after the point."""
+    value, marker_dir = item
+    starts = os.path.join(marker_dir, f"starts-{value}")
+    with open(starts, "a") as handle:
+        handle.write("x")
+    if value == 0 and os.path.getsize(starts) == 1:
+        time.sleep(60)
+    time.sleep({0: 0.0, 1: 0.5, 2: 0.75}[value])
+    return value + 100
+
+
 def always_fails(item):
     raise RuntimeError(f"point {item} is broken")
 
@@ -90,6 +123,12 @@ def worker_pid(item):
     """The running process's pid, after a pause long enough that every
     worker of a small pool takes part in an eight-point map."""
     time.sleep(0.05)
+    return os.getpid()
+
+
+def pid_after(seconds):
+    """The running process's pid, after ``seconds``."""
+    time.sleep(seconds)
     return os.getpid()
 
 
@@ -145,6 +184,29 @@ class TestCrashRecovery:
         assert context.counts["pool-respawn"] >= 1
         assert context.counts["worker-crash"] >= 1
 
+    def test_one_worker_death_charges_only_its_point(self, tmp_path):
+        """Two points on two workers: point 0's worker dies once while
+        point 1 runs on.  Only point 0 is charged, and point 1 runs
+        once; with no retries the sweep fails naming point 0."""
+        first, second = tmp_path / "retried", tmp_path / "no-retries"
+        first.mkdir()
+        second.mkdir()
+        context = SupervisorContext(
+            policy=SupervisorPolicy(retries=1, backoff_base=0.01)
+        )
+        items = [(i, str(first)) for i in (0, 1)]
+        out = supervised_map(dies_once_or_sleeps, items, jobs=2, context=context)
+        assert out == [0, 10]
+        assert context.counts["worker-crash"] == 1
+        assert (first / "starts-1").read_text() == "x"
+
+        items = [(i, str(second)) for i in (0, 1)]
+        with pytest.raises(SweepPointError) as info:
+            supervised_map(
+                dies_once_or_sleeps, items, jobs=2, context=_no_retries()
+            )
+        assert info.value.point == items[0]
+
     def test_injected_crash_first_attempt_only(self):
         spec = FaultSpec(seed=5, crash=1.0)
         context = SupervisorContext(
@@ -173,6 +235,19 @@ class TestTimeouts:
         assert out == [101, 102, 103]
         assert context.counts["point-timeout"] == 1
         assert elapsed < 30  # nowhere near the 60 s sleep
+
+    def test_timeout_spares_the_other_workers_points(self, tmp_path):
+        """Point 0 hangs past its 1 s budget while point 2, started at
+        about 0.5 s on the other worker, is still running: only point
+        0's worker is killed, and point 2 runs once."""
+        context = SupervisorContext(
+            policy=SupervisorPolicy(timeout=1.0, retries=1, backoff_base=0.01)
+        )
+        items = [(i, str(tmp_path)) for i in (0, 1, 2)]
+        out = supervised_map(hangs_once_or_paces, items, jobs=2, context=context)
+        assert out == [100, 101, 102]
+        assert context.counts["point-timeout"] == 1
+        assert (tmp_path / "starts-2").read_text() == "x"
 
 
 class TestJournalResume:
@@ -424,50 +499,53 @@ class TestTerminateFallback:
         assert calls == [(False, True)]
 
 
+def _wait_broken(lane) -> None:
+    """Wait until a lane has noticed that its worker died."""
+    deadline = time.monotonic() + 10.0
+    while not lane._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert lane._broken
+
+
 class TestBrokenPoolSubmit:
-    """A worker that dies between two polls breaks the pool before the
-    loop hears of it; the next submit must not take the sweep down."""
+    """A dead worker breaks only its own lane, and the lane's next
+    submit runs on a freshly forked worker."""
 
-    def test_point_refused_by_a_broken_pool_waits_for_the_poll(self):
-        from concurrent.futures import wait
-
-        from repro.harness.executors.local import LocalPoolExecutor, SubmittedPoint
+    def test_crash_on_one_lane_spares_the_other_lanes_point(self):
+        from repro.harness.executors.local import LocalPoolExecutor
 
         backend = LocalPoolExecutor(2)
         try:
-            crashed = backend.submit(
-                SubmittedPoint(task=square, item=2, fault="crash")
-            )
-            wait([crashed])  # the pool is broken; nobody has polled yet
-            point = SubmittedPoint(task=square, item=3)
-            assert backend.submit(point) is None
-            assert [e.kind for e in backend.poll(10.0)] == ["crash", "respawn"]
-            handle = backend.submit(point)
+            crashed = backend.submit(square, 2, fault="crash")
+            survivor = backend.submit(pid_after, 1.5)
             [event] = backend.poll(10.0)
-            assert (event.kind, event.handle, event.value) == ("done", handle, 9)
+            assert (event.kind, event.handle) == ("crash", crashed)
+            assert not survivor.done()
+            replacement = backend.submit(pid_after, 0.0)
+            events = {}
+            while len(events) < 2:
+                events.update((e.handle, e) for e in backend.poll(10.0))
+            assert [events[h].kind for h in (survivor, replacement)] == [
+                "done",
+                "done",
+            ]
+            assert events[survivor].value != events[replacement].value
         finally:
             backend.cancel()
 
     def test_pool_broken_while_idle_is_rebuilt_on_submit(self):
-        from repro.harness.executors.local import (
-            LocalPoolExecutor,
-            SubmittedPoint,
-            pool_processes,
-        )
+        from repro.harness.executors.local import LocalPoolExecutor, pool_processes
 
         backend = LocalPoolExecutor(1)
         try:
-            backend.submit(SubmittedPoint(task=square, item=2))
+            backend.submit(square, 2)
             assert [e.kind for e in backend.poll(10.0)] == ["done"]
-            broken_pool = backend._pool
-            for process in pool_processes(broken_pool):
+            [broken_lane] = backend._lanes
+            for process in pool_processes(broken_lane):
                 process.kill()
-            deadline = time.monotonic() + 10.0
-            while not broken_pool._broken and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert broken_pool._broken
-            handle = backend.submit(SubmittedPoint(task=square, item=3))
-            assert backend._pool is not broken_pool
+            _wait_broken(broken_lane)
+            handle = backend.submit(square, 3)
+            assert backend._lanes[0] is not broken_lane
             [event] = backend.poll(10.0)
             assert (event.kind, event.handle, event.value) == ("done", handle, 9)
         finally:
@@ -488,10 +566,10 @@ def _pooled_pids(jobs: int = 2, context: SupervisorContext | None = None):
 
 
 class TestPoolLifetime:
-    """The worker pool outlives the map that forked it: the next map of
-    the same width under the same telemetry session runs on the same
-    workers.  A map of another width, a failed point, a respawn or a
-    new session gets fresh workers."""
+    """The worker lanes outlive the map that forked them: the next map
+    of the same width under the same telemetry session runs on the same
+    workers.  A map of another width, a failed point or a new session
+    gets fresh workers, and a crashed worker's lane a fresh one."""
 
     def test_consecutive_maps_share_their_workers(self):
         first = _pooled_pids()
@@ -522,16 +600,12 @@ class TestPoolLifetime:
         assert not _pooled_pids() & first
 
     def test_cancel_kills_a_busy_worker(self):
-        from repro.harness.executors.local import (
-            LocalPoolExecutor,
-            SubmittedPoint,
-            pool_processes,
-        )
+        from repro.harness.executors.local import LocalPoolExecutor
 
         backend = LocalPoolExecutor(2)
-        backend.submit(SubmittedPoint(task=time.sleep, item=60))
+        backend.submit(time.sleep, 60)
         time.sleep(0.5)
-        pids = {process.pid for process in pool_processes(backend._pool)}
+        pids = lane_pids(backend._lanes)
         backend.cancel()
         assert wait_exited(pids) == []
 
@@ -544,12 +618,17 @@ class TestPoolLifetime:
         assert not _pooled_pids() & inside
 
     def test_worker_killed_while_idle_costs_one_rebuild(self):
+        from repro.harness.executors import local
+
         first = _pooled_pids()
-        os.kill(min(first), signal.SIGKILL)
-        # The broken pool stops its surviving worker too.
-        assert wait_exited(first) == []
+        victim = min(first)
+        os.kill(victim, signal.SIGKILL)
+        [lane] = [lane for lane in local._idle.lanes if victim in lane_pids([lane])]
+        _wait_broken(lane)
         context = _no_retries()
-        assert not _pooled_pids(context=context) & first
+        second = _pooled_pids(context=context)
+        assert first - second == {victim}  # the sibling keeps its worker
+        assert len(second - first) == 1
         assert context.counts == {}  # no point-retry, no worker-crash
 
 
@@ -613,52 +692,56 @@ class TestWorkerSignals:
         assert "pool-respawn" not in context.counts
 
 
+class _StuckFuture:
+    def done(self):
+        return False
+
+
+class _RecordingBackend:
+    def __init__(self):
+        self.killed = []
+
+    def kill(self, future):
+        self.killed.append(future)
+
+
 class TestReapHung:
-    def test_reaps_expired_flights_and_requeues_survivors(self):
-        """Direct exercise of ``_reap_hung``: the expired flight is
-        charged a timeout failure, the innocent one re-queued free, and
-        the pool respawned exactly once."""
+    def test_kills_only_the_expired_flights_lane(self):
+        """Direct exercise of ``_reap_hung``: the expired flight's
+        worker is killed through the backend and the flight charged a
+        timeout failure, while the other flight stays in flight."""
         from repro.harness.supervisor import _Flight, _reap_hung
 
-        class StuckFuture:
-            def done(self):
-                return False
-
         context = SupervisorContext(policy=SupervisorPolicy(timeout=0.5))
-        hung, innocent = StuckFuture(), StuckFuture()
+        hung, innocent = _StuckFuture(), _StuckFuture()
         now = time.monotonic()
         inflight = {
             hung: _Flight(index=0, deadline=now - 1.0),
             innocent: _Flight(index=1, deadline=now + 60.0),
         }
-        requeued, failed, respawns = [], [], []
+        backend, failed = _RecordingBackend(), []
         _reap_hung(
             context,
-            context.policy,
             inflight,
-            lambda index: requeued.append(index),
+            backend,
             lambda index, cause, kind: failed.append((index, kind, str(cause))),
-            lambda: respawns.append(True),
         )
-        assert inflight == {}
-        assert respawns == [True]
-        assert requeued == [1]
-        assert len(failed) == 1
-        index, kind, message = failed[0]
+        assert backend.killed == [hung]
+        assert list(inflight) == [innocent]
+        assert context.counts == {"pool-respawn": 1}
+        [(index, kind, message)] = failed
         assert (index, kind) == (0, "point-timeout")
         assert "0.5s wall-clock budget" in message
 
     def test_no_deadline_means_no_reaping(self):
         from repro.harness.supervisor import _Flight, _reap_hung
 
-        class StuckFuture:
-            def done(self):
-                return False
-
         context = SupervisorContext()
-        inflight = {StuckFuture(): _Flight(index=0, deadline=None)}
+        inflight = {_StuckFuture(): _Flight(index=0, deadline=None)}
+        backend = _RecordingBackend()
         boom = lambda *a: pytest.fail("nothing should be reaped")  # noqa: E731
-        _reap_hung(context, context.policy, inflight, boom, boom, boom)
+        _reap_hung(context, inflight, backend, boom)
+        assert backend.killed == []
         assert len(inflight) == 1
 
 
