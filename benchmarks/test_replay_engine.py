@@ -3,9 +3,7 @@
 The engine's acceptance bar: a ≥7-configuration cache-size sweep
 through :func:`repro.harness.replay.replay_sweep` must beat the
 per-config loop — one full simulator pass (trace generation, DEX
-scheduling, protocol encode, emulation) per size, which is what
-``cosim_cache_sweep`` did before it was rebuilt on the engine — by
-≥5x wall-clock.  That loop lives inline here now, as the measurement
+scheduling, protocol encode, emulation) per size — by ≥5x wall-clock.  That loop lives inline here now, as the measurement
 baseline.  The measured ratio — plus the engine's capture/replay
 throughput — is recorded into ``BENCH_cosim.json`` by the emitter in
 ``conftest.py``.

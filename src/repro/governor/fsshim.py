@@ -1,9 +1,9 @@
 """Injectable filesystem faults: seeded ENOSPC/EIO at the write sites.
 
-The pressure harness needs to *prove* the degradation paths — evict-
-and-retry on ENOSPC, bounded retry on EIO, cache-off as the final
-fallback — and proving them requires failures on demand.  Real disks
-fail rarely and unreproducibly; this shim fails deterministically.
+The tests need to *prove* the degradation paths — evict-and-retry on
+ENOSPC, bounded retry on EIO, cache-off as the final fallback — and
+proving them requires failures on demand.  Real disks fail rarely and
+unreproducibly; this shim fails deterministically.
 
 Every durable write site in the tree calls :func:`fault_point` with a
 site label before touching the filesystem::
@@ -17,26 +17,18 @@ discipline as :meth:`repro.faults.spec.FaultSpec.rng` — and raises a
 real ``OSError(ENOSPC)`` or ``OSError(EIO)`` when the draw says so.
 Same seed, same faults at the same calls, regardless of timing.
 
-Plans install in-process (:func:`install`) or, for CLI subprocess
-tests, via the ``REPRO_FS_FAULTS`` environment variable, e.g.::
-
-    REPRO_FS_FAULTS="seed=7,enospc=0.1,eio=0.05,limit=8"
-
-``limit`` caps the total faults delivered, so a shimmed run always
-terminates; ``sites`` (``+``-separated) restricts the blast radius.
+Plans install in-process only (:func:`install`).  ``limit`` caps the
+total faults delivered, so a shimmed run always terminates; ``sites``
+restricts the blast radius.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import FaultInjectionError
-
-#: Environment variable a CLI subprocess reads a plan from.
-FS_FAULTS_ENV = "REPRO_FS_FAULTS"
 
 #: Site labels wired into the tree; :func:`fault_point` accepts any
 #: string, but the known set keeps plan ``sites=`` filters honest.
@@ -53,14 +45,14 @@ KNOWN_SITES = frozenset(
 
 @dataclass(frozen=True)
 class FsFaultPlan:
-    """A parsed filesystem fault plan.
+    """A filesystem fault plan.
 
     Attributes:
         seed: anchor of every decision stream.
         enospc: per-call probability of ``OSError(ENOSPC)``.
         eio: per-call probability of ``OSError(EIO)``.
         limit: total faults to deliver before the shim goes quiet
-            (None = unbounded; the pressure harness always bounds it).
+            (None = unbounded).
         sites: site labels the plan applies to (None = all).
     """
 
@@ -89,38 +81,6 @@ class FsFaultPlan:
                     f"known sites: {sorted(KNOWN_SITES)}"
                 )
 
-    @classmethod
-    def parse(cls, text: str) -> "FsFaultPlan":
-        """Parse a ``key=value`` comma list (the env-var format)."""
-        plan = cls()
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            name, _, raw = token.partition("=")
-            name, raw = name.strip(), raw.strip()
-            try:
-                if name == "seed":
-                    plan = replace(plan, seed=int(raw))
-                elif name in ("enospc", "eio"):
-                    plan = replace(plan, **{name: float(raw)})
-                elif name == "limit":
-                    plan = replace(plan, limit=int(raw))
-                elif name == "sites":
-                    plan = replace(
-                        plan, sites=frozenset(s for s in raw.split("+") if s)
-                    )
-                else:
-                    raise FaultInjectionError(
-                        f"unknown fs fault field {name!r}; valid: "
-                        "seed, enospc, eio, limit, sites"
-                    )
-            except ValueError:
-                raise FaultInjectionError(
-                    f"fs fault field {name!r} has a malformed value {raw!r}"
-                ) from None
-        return plan
-
 
 class _ShimState:
     """Mutable per-install state: per-site call counters, delivery tally."""
@@ -132,35 +92,23 @@ class _ShimState:
 
 
 _state: _ShimState | None = None
-_env_checked = False
 
 
 def install(plan: FsFaultPlan) -> None:
     """Arm the shim with a plan (replacing any previous one)."""
-    global _state, _env_checked
+    global _state
     _state = _ShimState(plan)
-    _env_checked = True
 
 
 def uninstall() -> None:
     """Disarm the shim; :func:`fault_point` returns to the no-op path."""
-    global _state, _env_checked
+    global _state
     _state = None
-    _env_checked = True
 
 
 def delivered() -> list[tuple[str, str]]:
     """The ``(site, kind)`` faults delivered since the last install."""
     return [] if _state is None else list(_state.delivered)
-
-
-def _maybe_install_from_env() -> None:
-    """One-shot: arm from ``REPRO_FS_FAULTS`` if set (CLI subprocesses)."""
-    global _env_checked
-    text = os.environ.get(FS_FAULTS_ENV)
-    if text and text.strip():
-        install(FsFaultPlan.parse(text))
-    _env_checked = True
 
 
 def _draw(plan: FsFaultPlan, site: str, index: int) -> float:
@@ -183,13 +131,9 @@ def fault_point(site: str) -> None:
     plan; returns silently otherwise.  The disarmed fast path is one
     module-global comparison.
     """
-    if _state is None:
-        if _env_checked:
-            return
-        _maybe_install_from_env()
-        if _state is None:
-            return
     state = _state
+    if state is None:
+        return
     plan = state.plan
     if plan.sites is not None and site not in plan.sites:
         return

@@ -566,7 +566,6 @@ def _report_sampled(args, workload, configs, results, trace_cache) -> int:
             f"{coverage.interval_size:,} accesses, {coverage.clusters} "
             f"cluster(s), {coverage.simulated_fraction:.1%} of the stream "
             "emulated"
-            + (", fingerprints cached" if coverage.fingerprint_cached else "")
         )
         print(
             render_series_table(

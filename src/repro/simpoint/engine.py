@@ -175,8 +175,11 @@ class SampleCoverage:
     total_accesses: int
     #: SHARDS spatial sampling rate of the fingerprint pass.
     fingerprint_rate: float
-    #: Whether the fingerprints came from the trace cache.
-    fingerprint_cached: bool
+    #: Always False: where the fingerprints came from is not part of
+    #: the result (the ``trace cache:`` line's ``hits=`` reports it).
+    #: The field stays because removing it would change the pickle, and
+    #: so the digest, of every sampled result.
+    fingerprint_cached: bool = False
 
     @property
     def simulated_fraction(self) -> float:
@@ -246,26 +249,26 @@ def _load_or_fingerprint(
     spec: SampleSpec,
     trace_cache: TraceCache | None,
     log_key: str | None,
-) -> tuple[IntervalFingerprints, bool]:
+) -> IntervalFingerprints:
     """Fingerprint the log, via the trace cache when one is available.
 
     Fingerprints are content-addressed by the *log's* cache key plus the
     fingerprint parameters, so re-sampling a cached workload skips the
-    fingerprint pass entirely; returns ``(fingerprints, cache_hit)``.
+    fingerprint pass entirely.
     """
     key = None
     if trace_cache is not None and log_key is not None:
         key = _fingerprint_key(log_key, spec)
         payload = trace_cache.load(key)
         if payload is not None:
-            return IntervalFingerprints.from_payload(*payload), True
+            return IntervalFingerprints.from_payload(*payload)
     fingerprints = fingerprint_intervals(
         log.to_chunk(), bounds, log.cores, spec.fingerprint,
         warmup=spec.resolved_warmup(),
     )
     if key is not None:
         trace_cache.store(key, *fingerprints.to_payload())
-    return fingerprints, False
+    return fingerprints
 
 
 def _replay_representatives(
@@ -407,7 +410,6 @@ def _degenerate_result(
         warmup_accesses=0,
         total_accesses=log.accesses,
         fingerprint_rate=1.0,
-        fingerprint_cached=False,
     )
     return SampledCoSimResult(
         workload=log.workload,
@@ -449,7 +451,7 @@ def sampled_sweep(
         return [_degenerate_result(log, config) for config in configs]
 
     with telemetry.span("sample.fingerprint"):
-        fingerprints, cached = _load_or_fingerprint(
+        fingerprints = _load_or_fingerprint(
             log, bounds, spec, trace_cache, log_key
         )
     with telemetry.span("sample.cluster"):
@@ -488,7 +490,6 @@ def sampled_sweep(
             warmup_accesses=warmed,
             total_accesses=log.accesses,
             fingerprint_rate=fingerprints.rate,
-            fingerprint_cached=cached,
         )
         results.append(
             SampledCoSimResult(

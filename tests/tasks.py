@@ -1,10 +1,9 @@
-"""Importable sweep tasks for the pressure harness and the tests.
+"""Importable sweep tasks for the tests.
 
 Pool workers unpickle each ``(task, item)`` pair they run, so a task
 must live in an importable module — a function defined in
-``__main__`` or a test body pickles by reference to a module the
-worker cannot resolve.  These tasks are module-level precisely so the
-pressure harness, the CI smoke jobs, and the test suite can drive real
+``__main__`` pickles by reference to a module the worker cannot
+resolve.  These tasks are module-level so tests can drive real
 multi-process sweeps through them.  Both are pure functions of their
 items, so a re-run after a crash or a resume reproduces the result
 byte-for-byte.

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cache.emulator import DragonheadConfig
-from repro.core.cosim import CoSimPlatform, cosim_cache_sweep
+from repro.core.cosim import CoSimPlatform
 from repro.core.softsdv import MAX_HW_THREADS, GuestWorkload, SoftSDV
 from repro.core.fsb import FrontSideBus
 from repro.errors import ConfigurationError
+from repro.harness.replay import replay_sweep, size_sweep_configs
 from repro.trace.generators import Region, cyclic_scan
 from repro.trace.stream import chunk_stream
 from repro.units import KB, MB
@@ -78,12 +79,12 @@ class TestCoSimPlatform:
 
 class TestCoSimSweep:
     def test_sweep_is_monotone_for_scans(self):
-        results = cosim_cache_sweep(
+        results = replay_sweep(
             scan_workload(region_kb=768, passes=3),
-            cores=2,
-            cache_sizes=[1 * MB, 2 * MB, 4 * MB],
+            2,
+            size_sweep_configs([1 * MB, 2 * MB, 4 * MB]),
         )
-        mpkis = [mpki for _, mpki in results]
+        mpkis = [result.mpki for result in results]
         assert mpkis == sorted(mpkis, reverse=True)
         # 1MB < 2x768KB working set → thrash; 2MB and up capture
         # everything but cold misses.

@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SweepPointError
-from repro.harness.executors.tasks import model_mpki_point
 from repro.harness.parallel import default_jobs, parallel_map, resolve_jobs
+from tests.tasks import model_mpki_point
 
 
 def _fails_on_odd(item: int) -> int:

@@ -25,7 +25,6 @@ from repro.harness.replay import (
     load_or_capture,
     log_cache_key,
     replay,
-    replay_map,
     replay_sweep,
     size_sweep_configs,
 )
@@ -168,27 +167,6 @@ class TestAdversarialStream:
         log = _adversarial_log()
         result = replay(log, GEOMETRIES[0], audit="sample")
         assert result.audit is not None and result.audit.ok
-
-
-class TestParallelFanOut:
-    def test_process_fanout_matches_serial(self):
-        log = capture_replay_log(get_workload("FIMI").kernel_guest(), cores=4)
-        configs = size_sweep_configs([1 * MB, 2 * MB, 4 * MB, 8 * MB])
-        serial = replay_map(log, configs, jobs=None)
-        parallel = replay_map(log, configs, jobs=2)
-        assert serial == parallel
-
-    def test_fanout_from_cache_entry_is_memory_mapped(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        workload = get_workload("FIMI")
-        log, entry_dir = load_or_capture(
-            workload.kernel_guest(), 4, trace_cache=cache
-        )
-        assert entry_dir is not None
-        configs = size_sweep_configs([1 * MB, 4 * MB])
-        from_disk = replay_map(log, configs, jobs=2, entry_dir=entry_dir)
-        inline = replay_map(log, configs, jobs=None)
-        assert from_disk == inline
 
 
 class TestTraceCacheIntegration:

@@ -1,9 +1,10 @@
 """Tests for the sampled-simulation engine (``repro.simpoint``).
 
 The load-bearing guarantees: degenerate sampling is bit-identical to
-the exact replay path, seeded runs are deterministic, the fingerprint
-pass round-trips through the trace cache, and the interval/cluster
-helpers keep their units straight.
+the exact replay path, and the interval/cluster helpers keep their
+units straight.  That seeded runs are deterministic and that
+fingerprints round-trip through the trace cache without changing the
+result are cells of ``tests/test_routes.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SamplingError
-from repro.harness.replay import capture_replay_log, log_cache_key, replay
+from repro.harness.replay import capture_replay_log, replay
 from repro.cache.emulator import DragonheadConfig
 from repro.simpoint import (
     MetricEstimate,
@@ -31,7 +32,6 @@ from repro.simpoint.fingerprint import (
     fingerprint_intervals,
 )
 from repro.simpoint.intervals import interval_instructions
-from repro.trace.cache import TraceCache
 from repro.units import MB
 from repro.workloads.registry import get_workload
 
@@ -181,17 +181,6 @@ class TestSampledSweep:
         assert inner.filtered == exact.filtered
         assert inner.degradation == exact.degradation
 
-    def test_seeded_runs_are_deterministic(self):
-        log = _capture()
-        spec = SampleSpec(interval=1024, max_k=4)
-        first = sampled_sweep(log, [CONFIG], spec)[0]
-        second = sampled_sweep(log, [CONFIG], spec)[0]
-        assert first.coverage.labels == second.coverage.labels
-        assert first.coverage.representatives == second.coverage.representatives
-        assert first.mpki == second.mpki
-        assert first.misses == second.misses
-        assert first.miss_ratio == second.miss_ratio
-
     def test_estimates_land_near_exact_with_honest_bars(self):
         log = _capture(accesses_per_thread=8192)
         exact = replay(log, CONFIG)
@@ -199,18 +188,6 @@ class TestSampledSweep:
         assert sampled.coverage.intervals > 1
         assert 0.0 < sampled.coverage.simulated_fraction <= 1.0
         assert sampled.mpki.brackets(exact.mpki)
-
-    def test_fingerprints_round_trip_through_trace_cache(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        log = _capture()
-        key = log_cache_key("FIMI", log.cores, 4096, 8192, {"source": "synthetic"})
-        spec = SampleSpec(interval=1024, max_k=4)
-        cold = sampled_sweep(log, [CONFIG], spec, trace_cache=cache, log_key=key)
-        warm = sampled_sweep(log, [CONFIG], spec, trace_cache=cache, log_key=key)
-        assert cold[0].coverage.fingerprint_cached is False
-        assert warm[0].coverage.fingerprint_cached is True
-        assert warm[0].mpki == cold[0].mpki
-        assert warm[0].coverage.labels == cold[0].coverage.labels
 
 
 class TestLongStreamKnob:
