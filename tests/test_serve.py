@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.client import ServeClient
-from repro.serve.jobspec import JobSpec, result_digest
+from repro.serve.jobspec import JobSpec, result_digest, run_batch
 from repro.serve.queue import JobQueue
 from repro.serve.server import JobServer
 
@@ -155,6 +155,17 @@ def server():
 
 
 class TestServer:
+    def test_served_result_matches_the_cli_path(self, server):
+        response, status = server.submit({"spec": SPEC, "mode": "interactive"})
+        assert status == 202
+        job = server.get_job(response["job_id"], wait=120)
+        assert job.state == "done"
+        # Byte-identity: the served digest equals the digest of the
+        # same spec run straight through the replay engine (what
+        # ``repro-cosim --digest`` prints).
+        assert job.digest == result_digest(JobSpec.from_json(SPEC).run())
+        assert job.summary["configs"][0]["mpki"] > 0
+
     def test_duplicate_submission_is_answered_from_the_store(self, server):
         first, _ = server.submit({"spec": SPEC})
         server.get_job(first["job_id"], wait=120)
@@ -180,6 +191,14 @@ class TestServer:
         with pytest.raises(ServeError) as excinfo:
             server.get_job("job-999999")
         assert excinfo.value.status == 404
+
+    def test_batch_results_equal_solo_runs(self):
+        # The engine-level guarantee the server's coalescing rests on.
+        a = JobSpec.from_json(_spec(cache=[1024 * 1024]))
+        b = JobSpec.from_json(_spec(cache=[4 * 1024 * 1024, 1024 * 1024]))
+        batched = run_batch([a, b])
+        assert result_digest(batched[0]) == result_digest(a.run())
+        assert result_digest(batched[1]) == result_digest(b.run())
 
     def test_drain_finishes_pending_work(self, server):
         response, _ = server.submit({"spec": SPEC})
