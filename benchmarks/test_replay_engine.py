@@ -118,6 +118,12 @@ def test_cosim_end_to_end_rate(bench_record):
     aggregation).  ``accesses_per_second`` is the gated history metric;
     the per-event message-loop rate on the same log rides along as
     ungated context for the in-run comparison.
+
+    At 4 MB nearly every CC-bank set receives more distinct lines than
+    it has ways, so the probe runs its per-access LRU loop; at 64 MB
+    every set stays within its ways and the probe resolves it without
+    the loop.  ``fit_accesses_per_second`` records the 64 MB rate with
+    no floor, so ``bench_compare`` gates both sides of that split.
     """
     from repro.cache.emulator import DragonheadEmulator
     from repro.harness.replay import replay_into
@@ -126,15 +132,19 @@ def test_cosim_end_to_end_rate(bench_record):
         accesses_per_thread=262_144, scale=1.0
     )
     log = capture_replay_log(guest, CORES)
-    config = size_sweep_configs([4 * MB])[0]
-    replay(log, config)  # warm caches and allocator pools
+    config, fit_config = size_sweep_configs([4 * MB, 64 * MB])
 
-    batched_time = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        result = replay(log, config)
-        batched_time = min(batched_time, time.perf_counter() - start)
-    rate = result.accesses / batched_time
+    def best_rate(config):
+        replay(log, config)  # warm caches and allocator pools
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            result = replay(log, config)
+            best = min(best, time.perf_counter() - start)
+        return result, result.accesses / best
+
+    result, rate = best_rate(config)
+    _, fit_rate = best_rate(fit_config)
 
     emulator = DragonheadEmulator(config)
     start = time.perf_counter()
@@ -149,6 +159,7 @@ def test_cosim_end_to_end_rate(bench_record):
         cores=CORES,
         accesses=result.accesses,
         accesses_per_second=round(rate),
+        fit_accesses_per_second=round(fit_rate),
         per_event_loop_rate=round(per_event_rate),
         batch_speedup=round(rate / per_event_rate, 2),
     )

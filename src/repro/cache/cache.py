@@ -168,10 +168,7 @@ class SetAssociativeCache:
         policy = self._policy
         stats = self.stats
         if isinstance(policy, FastLRUKernel):
-            set_indices = None
-            if self.config.num_sets > 1:
-                set_indices = lines & np.uint64(self._set_mask)
-            result = policy.lookup_batch(lines, set_indices)
+            result = policy.lookup_batch(lines)
             stats.evictions += result.evictions
             stats.note_batch(kinds, cores, result.hits)
             return result.hits

@@ -27,17 +27,31 @@ implicit: CPython dicts preserve insertion order, making
 delete-and-reinsert the fastest recency update available without a C
 extension.
 
-Two further optimizations matter on real chunk shapes:
+Three further optimizations matter on real chunk shapes:
 
 * Consecutive same-line repeats are collapsed before the loop.  A
-  chunk access whose (set, tag) equals the immediately-previous
-  access's is always an MRU hit that leaves the LRU state untouched:
-  the previous access left the tag at the MRU end, and an eviction
-  never removes the tag just inserted (the victim is the LRU head, and
-  a set that evicts holds at least two tags).  Strided scans — the
-  dominant pattern in the paper's workloads — repeat each line
+  chunk access whose tag equals the immediately-previous access's is
+  always an MRU hit that leaves the LRU state untouched: the previous
+  access left the tag at the MRU end, and an eviction never removes
+  the tag just inserted (the victim is the LRU head, and a set that
+  evicts holds at least two tags).  Strided scans — the dominant
+  pattern in the paper's workloads — repeat each line
   ``line_size/stride`` times back to back, so this one vectorized
   compare removes most of their accesses from the Python loop.
+* A batch into an empty kernel resolves every set that never fills
+  without the loop.  LRU is a stack algorithm (Mattson et al., 1970):
+  a set that starts empty and receives at most ``associativity``
+  distinct tags never evicts, so its misses are exactly the first
+  access to each tag and its final recency order (LRU→MRU) is the
+  order of each tag's last use.  One sort counts the distinct tags
+  per set; if any set fits, one argsort yields every tag's first and
+  last use, and each fitting set's dict is built in one call from its
+  tags in last-use order.  Only the accesses of sets that overflow run
+  the loop.  Every ``emulate_stream`` replay probes each bank once on
+  a fresh emulator, so this is the replay path's case; a batch into a
+  kernel that already holds lines (the per-event path after its first
+  chunk) runs the loop throughout, and an allocated-set count keeps
+  that test O(1).
 * The per-set container is chosen by geometry.  Plain dicts are
   fastest for normal associativities, but their eviction pattern
   (delete the head, insert at the tail) leaves tombstones that
@@ -63,6 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro.cache.replacement import ReplacementPolicy
 
 #: Sentinel used in the exported tag matrix for empty ways.
@@ -81,6 +96,14 @@ _ABSENT = object()
 _ORDERED_SET_MIN_ASSOC = 128
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal adjacent values."""
+    new_run = np.empty(values.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new_run[1:])
+    return np.flatnonzero(new_run)
+
+
 @dataclass(frozen=True, slots=True)
 class BatchResult:
     """Outcome of one :meth:`FastLRUKernel.lookup_batch` call.
@@ -88,14 +111,10 @@ class BatchResult:
     Attributes:
         hits: boolean per-access hit mask, in chunk order.
         evictions: number of capacity evictions the batch caused.
-        victims: per-access evicted tag (``EMPTY_WAY`` where the access
-            evicted nothing); only populated when the batch was run with
-            ``collect_victims=True``, else None.
     """
 
     hits: np.ndarray
     evictions: int
-    victims: np.ndarray | None = None
 
     @property
     def misses(self) -> int:
@@ -114,8 +133,10 @@ class FastLRUKernel(ReplacementPolicy):
         # space sweep replays one short trace through many large
         # geometries, and eagerly building (say) 16 k dicts per 64 MB
         # bank costs more than the replay itself.  ``None`` marks a
-        # never-touched (empty) set.
+        # never-touched (empty) set; ``_allocated`` counts the others,
+        # so "is the whole kernel empty" is one integer test.
         self._sets: list[dict[int, None] | None] = [None] * num_sets
+        self._allocated = 0
 
     # -- scalar path (ReplacementPolicy interface) ----------------------
 
@@ -123,6 +144,7 @@ class FastLRUKernel(ReplacementPolicy):
         ways = self._sets[set_index]
         if ways is None:
             ways = self._sets[set_index] = self._set_factory()
+            self._allocated += 1
         if tag in ways:
             del ways[tag]
             ways[tag] = None
@@ -147,6 +169,7 @@ class FastLRUKernel(ReplacementPolicy):
 
     def flush(self) -> None:
         self._sets = [None] * self.num_sets
+        self._allocated = 0
 
     def resident_tags(self, set_index: int) -> list[int]:
         """LRU→MRU tags of one set (same contract as ``LRUPolicy``)."""
@@ -155,21 +178,13 @@ class FastLRUKernel(ReplacementPolicy):
 
     # -- batched path ---------------------------------------------------
 
-    def lookup_batch(
-        self,
-        tags: np.ndarray,
-        set_indices: np.ndarray | None = None,
-        *,
-        collect_victims: bool = False,
-    ) -> BatchResult:
+    def lookup_batch(self, tags: np.ndarray) -> BatchResult:
         """Replay a whole chunk of accesses through the LRU state.
 
         Args:
             tags: line numbers (``uint64``), one per access, chunk order.
-            set_indices: set index per access; None means every access
-                maps to set 0 (the fully-associative case).
-            collect_victims: also record the evicted tag per access,
-                for the exact-equivalence differential tests.
+                Each access maps to set ``tag & (num_sets - 1)``, the
+                low bits of its line number.
 
         Returns:
             A :class:`BatchResult` whose outcomes are identical, access
@@ -177,68 +192,96 @@ class FastLRUKernel(ReplacementPolicy):
         """
         tag_arr = np.asarray(tags)
         n = int(tag_arr.size)
-        set_arr = None if set_indices is None else np.asarray(set_indices)
-        # Collapse consecutive same-(set, tag) repeats: each is an MRU
-        # hit with no eviction and no state change (see module docstring
-        # for why), so only the first access of a run enters the loop.
-        keep = None
-        if n > 1:
-            repeat = np.empty(n, dtype=bool)
-            repeat[0] = False
-            np.equal(tag_arr[1:], tag_arr[:-1], out=repeat[1:])
-            if set_arr is not None:
-                repeat[1:] &= set_arr[1:] == set_arr[:-1]
-            if repeat.any():
-                keep = ~repeat
-                tag_arr = tag_arr[keep]
-                if set_arr is not None:
-                    set_arr = set_arr[keep]
+        # Collapse consecutive repeats of one tag: each is an MRU hit
+        # with no eviction and no state change (see module docstring
+        # for why), so only the first access of a run is probed.
+        keep = _run_starts(tag_arr)
+        collapsed = keep.size < n
+        if collapsed:
+            tag_arr = tag_arr[keep]
+        if self._allocated or not tag_arr.size:
+            hit_arr, evictions = self._probe_loop(tag_arr)
+            resolved = 0
+        else:
+            hit_arr, evictions, resolved = self._probe_empty(tag_arr)
+        if telemetry.enabled():
+            counter = telemetry.counter
+            counter("repro_fastlru_accesses_total", path="resolved").inc(resolved)
+            counter("repro_fastlru_accesses_total", path="looped").inc(
+                hit_arr.size - resolved
+            )
+        if collapsed:
+            full_hits = np.ones(n, dtype=bool)
+            full_hits[keep] = hit_arr
+            hit_arr = full_hits
+        return BatchResult(hits=hit_arr, evictions=evictions)
+
+    def _probe_empty(self, tag_arr: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Probe a batch into an all-empty kernel: (hits, evictions, resolved).
+
+        Sets that receive at most ``associativity`` distinct tags are
+        resolved without the loop (first touch misses, the directory
+        is last-use order); the other sets' accesses run the loop.
+        """
+        m = tag_arr.size
+        set_mask = self.num_sets - 1
+        # One sort finds the distinct tags and so the per-set counts;
+        # it is all that a batch in which no set fits pays up front.
+        sorted_tags = np.sort(tag_arr)
+        starts = _run_starts(sorted_tags)
+        distinct = sorted_tags[starts]
+        tag_sets = (distinct & set_mask).astype(np.intp)
+        per_set = np.bincount(tag_sets, minlength=self.num_sets)
+        fits = per_set <= self.associativity
+        fit_tags = fits[tag_sets]
+        if not fit_tags.any():
+            hit_arr, evictions = self._probe_loop(tag_arr)
+            return hit_arr, evictions, 0
+        # Sorted values do not depend on the algorithm, so ``starts``
+        # also delimits each tag's accesses in the argsort's order.
+        order = np.argsort(tag_arr)
+        first = np.minimum.reduceat(order, starts)
+        last = np.maximum.reduceat(order, starts)
+        hit_arr = np.ones(m, dtype=bool)
+        evictions = looped = 0
+        if fit_tags.all():
+            hit_arr[first] = False
+        else:
+            hit_arr[first[fit_tags]] = False
+            loop_at = np.flatnonzero(~fits[(tag_arr & set_mask).astype(np.intp)])
+            looped = loop_at.size
+            hit_arr[loop_at], evictions = self._probe_loop(tag_arr[loop_at])
+            distinct, tag_sets, last = (
+                distinct[fit_tags], tag_sets[fit_tags], last[fit_tags]
+            )
+        # Each fitting set's LRU→MRU order is its tags by last use.
+        by_recency = np.argsort(tag_sets * m + last)
+        dir_sets = tag_sets[by_recency]
+        run_starts = _run_starts(dir_sets)
+        tag_list = distinct[by_recency].tolist()
+        bounds = run_starts.tolist() + [len(tag_list)]
+        sets, fromkeys = self._sets, self._set_factory.fromkeys
+        for set_index, lo, hi in zip(dir_sets[run_starts].tolist(), bounds, bounds[1:]):
+            sets[set_index] = fromkeys(tag_list[lo:hi])
+        self._allocated += len(run_starts)
+        return hit_arr, evictions, m - looped
+
+    def _probe_loop(self, tag_arr: np.ndarray) -> tuple[np.ndarray, int]:
+        """The per-access LRU loop: (hit mask, evictions)."""
         tag_list = tag_arr.tolist()
         hits: list[bool] = []
         note_hit = hits.append
         evictions = 0
         assoc = self.associativity
         sets = self._sets
-        if collect_victims:
-            victims: list[int] = []
-            note_victim = victims.append
-            if set_arr is None:
-                pairs = ((0, tag) for tag in tag_list)
-            else:
-                pairs = zip(set_arr.tolist(), tag_list)
-            for set_index, tag in pairs:
-                ways = sets[set_index]
-                if ways is None:
-                    ways = sets[set_index] = self._set_factory()
-                # pop-then-reinsert: one hash probe fewer per hit than
-                # membership-test + delete + insert, same LRU order.
-                if ways.pop(tag, _ABSENT) is None:
-                    ways[tag] = None
-                    note_hit(True)
-                    note_victim(EMPTY_WAY)
-                    continue
-                ways[tag] = None
-                note_hit(False)
-                if len(ways) > assoc:
-                    victim = next(iter(ways))
-                    del ways[victim]
-                    evictions += 1
-                    note_victim(victim)
-                else:
-                    note_victim(EMPTY_WAY)
-            hit_arr = np.array(hits, dtype=bool)
-            victim_arr = np.array(victims, dtype=np.int64)
-            if keep is not None:
-                full_hits = np.ones(n, dtype=bool)
-                full_hits[keep] = hit_arr
-                full_victims = np.full(n, EMPTY_WAY, dtype=np.int64)
-                full_victims[keep] = victim_arr
-                hit_arr, victim_arr = full_hits, full_victims
-            return BatchResult(hits=hit_arr, evictions=evictions, victims=victim_arr)
-        if set_arr is None:
+        factory = self._set_factory
+        if self.num_sets == 1:
             ways = sets[0]
             if ways is None:
-                ways = sets[0] = self._set_factory()
+                ways = sets[0] = factory()
+                self._allocated += 1
+            # pop-then-reinsert: one hash probe fewer per hit than
+            # membership-test + delete + insert, same LRU order.
             for tag in tag_list:
                 if ways.pop(tag, _ABSENT) is None:
                     ways[tag] = None
@@ -250,10 +293,13 @@ class FastLRUKernel(ReplacementPolicy):
                         del ways[next(iter(ways))]
                         evictions += 1
         else:
-            for set_index, tag in zip(set_arr.tolist(), tag_list):
+            set_list = (tag_arr & (self.num_sets - 1)).tolist()
+            allocated = 0
+            for set_index, tag in zip(set_list, tag_list):
                 ways = sets[set_index]
                 if ways is None:
-                    ways = sets[set_index] = self._set_factory()
+                    ways = sets[set_index] = factory()
+                    allocated += 1
                 if ways.pop(tag, _ABSENT) is None:
                     ways[tag] = None
                     note_hit(True)
@@ -263,12 +309,8 @@ class FastLRUKernel(ReplacementPolicy):
                     if len(ways) > assoc:
                         del ways[next(iter(ways))]
                         evictions += 1
-        hit_arr = np.array(hits, dtype=bool)
-        if keep is not None:
-            full_hits = np.ones(n, dtype=bool)
-            full_hits[keep] = hit_arr
-            hit_arr = full_hits
-        return BatchResult(hits=hit_arr, evictions=evictions)
+            self._allocated += allocated
+        return np.array(hits, dtype=bool), evictions
 
     # -- directory dump -------------------------------------------------
 

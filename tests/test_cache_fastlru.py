@@ -5,7 +5,7 @@ The fast kernel's contract is *exact* equivalence with the list-based
 on any access sequence.  These tests replay identical random and
 workload-shaped traces through both implementations (and, for the
 single-set geometry, through the ``FullyAssociativeLRU`` oracle) and
-compare every observable: per-access outcomes, eviction counts, full
+compare every observable: per-access hits, eviction counts, full
 ``CacheStats`` including the per-core dictionaries, and the final
 recency order of every set.
 """
@@ -47,20 +47,23 @@ def workload_shaped_lines(count: int, seed: int) -> np.ndarray:
 
 def replay_reference(
     policy: LRUPolicy, lines: list[int], set_mask: int
-) -> tuple[list[bool], list[int], int]:
-    """Drive LRUPolicy one access at a time (the seed implementation)."""
+) -> tuple[list[bool], int]:
+    """Drive LRUPolicy one access at a time: (per-access hits, evictions)."""
     hits: list[bool] = []
-    victims: list[int] = []
     evictions = 0
     for line in lines:
         hit, victim = policy.lookup(line & set_mask, line)
         hits.append(hit)
-        if victim is None:
-            victims.append(EMPTY_WAY)
-        else:
-            victims.append(victim)
-            evictions += 1
-    return hits, victims, evictions
+        evictions += victim is not None
+    return hits, evictions
+
+
+def assert_directories_equal(kernel, reference, num_sets: int) -> None:
+    """Every set's LRU→MRU order agrees between kernel and reference."""
+    for set_index in range(num_sets):
+        assert kernel.resident_tags(set_index) == reference.resident_tags(
+            set_index
+        ), f"recency order diverged in set {set_index}"
 
 
 def stats_tuple(stats) -> tuple:
@@ -80,7 +83,7 @@ def stats_tuple(stats) -> tuple:
 
 class TestExactEquivalence:
     def test_million_access_differential_vs_lrupolicy(self):
-        """≥1M replayed accesses: identical hits, victims, and order."""
+        """≥1M replayed accesses: identical hits, evictions, and order."""
         num_sets, assoc = 1024, 16
         lines = workload_shaped_lines(1_000_000, seed=11)
         assert lines.size >= 1_000_000
@@ -88,26 +91,16 @@ class TestExactEquivalence:
         reference = LRUPolicy(num_sets, assoc)
         set_mask = num_sets - 1
         # Replay in chunks so kernel state carries across batch calls,
-        # the way trace streams reach the cache in production.
-        total_evictions = 0
-        cursor = 0
-        ref_hits, ref_victims, ref_evictions = replay_reference(
-            reference, lines.tolist(), set_mask
-        )
+        # the way trace streams reach the cache in production: the first
+        # chunk lands on an empty kernel, the rest on resident lines.
         for chunk in np.array_split(lines, 16):
-            result = kernel.lookup_batch(
-                chunk, chunk & np.uint64(set_mask), collect_victims=True
+            result = kernel.lookup_batch(chunk)
+            ref_hits, ref_evictions = replay_reference(
+                reference, chunk.tolist(), set_mask
             )
-            n = len(chunk)
-            assert result.hits.tolist() == ref_hits[cursor : cursor + n]
-            assert result.victims.tolist() == ref_victims[cursor : cursor + n]
-            total_evictions += result.evictions
-            cursor += n
-        assert total_evictions == ref_evictions
-        for set_index in range(num_sets):
-            assert kernel.resident_tags(set_index) == reference.resident_tags(
-                set_index
-            ), f"recency order diverged in set {set_index}"
+            assert result.hits.tolist() == ref_hits
+            assert result.evictions == ref_evictions
+            assert_directories_equal(kernel, reference, num_sets)
 
     def test_cache_stats_equivalence_including_per_core(self):
         """Fast path and forced seed path agree on every counter."""
@@ -180,15 +173,13 @@ class TestExactEquivalence:
         kernel = FastLRUKernel(num_sets, assoc)
         reference = LRUPolicy(num_sets, assoc)
         set_mask = num_sets - 1
-        result = kernel.lookup_batch(
-            lines, lines & np.uint64(set_mask), collect_victims=True
-        )
-        ref_hits, ref_victims, ref_evictions = replay_reference(
+        result = kernel.lookup_batch(lines)
+        ref_hits, ref_evictions = replay_reference(
             reference, lines.tolist(), set_mask
         )
         assert result.hits.tolist() == ref_hits
-        assert result.victims.tolist() == ref_victims
         assert result.evictions == ref_evictions
+        assert_directories_equal(kernel, reference, num_sets)
 
     @pytest.mark.parametrize("num_sets,assoc", [(2, 256), (1, 4096)])
     def test_large_associativity_geometry(self, num_sets, assoc):
@@ -199,16 +190,13 @@ class TestExactEquivalence:
         kernel = FastLRUKernel(num_sets, assoc)
         reference = LRUPolicy(num_sets, assoc)
         set_mask = num_sets - 1
-        sets = lines & np.uint64(set_mask) if num_sets > 1 else None
-        result = kernel.lookup_batch(lines, sets, collect_victims=True)
-        ref_hits, ref_victims, ref_evictions = replay_reference(
+        result = kernel.lookup_batch(lines)
+        ref_hits, ref_evictions = replay_reference(
             reference, lines.tolist(), set_mask
         )
         assert result.hits.tolist() == ref_hits
-        assert result.victims.tolist() == ref_victims
         assert result.evictions == ref_evictions
-        for set_index in range(num_sets):
-            assert kernel.resident_tags(set_index) == reference.resident_tags(set_index)
+        assert_directories_equal(kernel, reference, num_sets)
 
 
 class TestReplacementPolicyInterface:
