@@ -37,6 +37,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import AbstractContextManager
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="read the job spec from FILE as canonical JSON ('-' reads "
         "stdin) — the same content-keyed format repro-serve accepts; "
-        "explicit flags are rejected alongside it",
+        "a spec flag (--workload, --cores, --cache, ...) set beside it "
+        "is an error",
     )
     parser.add_argument(
         "--print-job",
@@ -460,8 +462,15 @@ def _resolve_spec(args: argparse.Namespace) -> JobSpec:
     """
     parser = build_parser()
     if args.job is not None:
-        if args.workload is not None:
-            parser.error("--job and --workload are mutually exclusive")
+        # Every spec field is a flag of the same name; one set beside
+        # --job would be silently overridden by the file.
+        given = [
+            f"--{field.name}"
+            for field in dataclasses.fields(JobSpec)
+            if getattr(args, field.name) != parser.get_default(field.name)
+        ]
+        if given:
+            parser.error(f"--job cannot be combined with {', '.join(given)}")
         try:
             if args.job == "-":
                 raw = sys.stdin.read()

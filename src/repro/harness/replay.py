@@ -15,25 +15,25 @@ the bus, capturing exactly what survives the address filter: the
 decoded, window-gated, core-tagged transaction stream, as compact
 columnar numpy arrays plus an event table (per-slice core tags and the
 instruction/cycle progress counters that drive window sampling).
-:func:`replay` then re-drives a fresh :class:`DragonheadEmulator`
-through its public snoop interface — protocol messages re-encoded, data
-chunks re-issued — so per-config statistics are *identical* to a fresh
-``CoSimPlatform.run``, per-core splits and 500 µs window samples
-included (``tests/test_harness_replay.py`` proves field-for-field
-equality).
+:func:`replay` then drives a fresh :class:`DragonheadEmulator` with the
+log — one batched ``emulate_stream`` pass, or the per-event snoop loop
+when a fault injector or a lenient AF must see every message — so
+per-config statistics are *identical* to a fresh ``CoSimPlatform.run``,
+per-core splits and 500 µs window samples included
+(``tests/test_harness_replay.py`` proves field-for-field equality).
 
 :func:`replay_sweep` is the user-facing entry: capture (or load from
 the content-addressed :class:`~repro.trace.cache.TraceCache`) once,
-then fan the log out to N configurations, optionally across worker
-processes via :func:`~repro.harness.parallel.parallel_map` — the log
-travels as an on-disk path and is memory-mapped by each worker, not
-pickled per task.
+then fan the log out to N configurations through
+:func:`~repro.harness.parallel.parallel_map`.  Points in this process
+replay the log it holds; pool workers memory-map an on-disk entry of
+it instead of receiving a pickled copy per task.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -493,16 +493,17 @@ def load_or_capture(
 
 @dataclass(frozen=True)
 class _LogHandle:
-    """Picklable reference to a log: inline arrays or an on-disk entry.
+    """Picklable reference to a log: the log itself or an on-disk entry.
 
     ``key`` is the log's content address.  A point key sees only that
     (:meth:`content_identity`), never the transport: a spill directory
     is random per run and a trace-cache path names its root, so keying
-    by either would make ``--resume`` re-run every point.
+    by either would make ``--resume`` re-run every point.  The log stays
+    out of the repr, which a failed point's error message quotes.
     """
 
     key: str
-    log: ReplayLog | None = None
+    log: ReplayLog | None = field(default=None, repr=False)
     entry_dir: str | None = None
 
     def content_identity(self) -> "_LogHandle":
@@ -539,14 +540,15 @@ def replay_map(
 ) -> list[CoSimResult]:
     """Fan one captured log out to every configuration.
 
-    With ``jobs`` > 1 the configurations split across worker processes;
-    when the log lives in a trace cache (``entry_dir``), workers
-    memory-map it from disk instead of receiving pickled copies, so the
-    log exists once no matter how wide the fan-out.  A log that is
-    *not* cache-backed gets spilled into a temporary content-addressed
-    cache entry first, so every fan-out rides the shared-memory
-    transport: workers receive the entry key and memmap the arrays,
-    never an in-band pickled copy of the trace.  ``spec`` and
+    Every call is one :func:`~repro.harness.parallel.parallel_map`, so
+    a point runs the same supervised code serially or pooled, and each
+    point is one :func:`replay`.  The log's transport follows the
+    process boundary.  Points that run in this process (``jobs`` ≤ 1
+    or fewer than two configurations) replay the log it holds.  Pool
+    workers memory-map an on-disk entry instead: the trace-cache entry
+    (``entry_dir``), or a temporary content-addressed entry an uncached
+    log is spilled into first — so the log exists once however wide the
+    fan-out, never as a pickled copy per task.  ``spec`` and
     ``lenient`` ride along to every point (the injector re-seeds itself
     per grid point, so fan-out width never changes the fault stream);
     ``audit`` audits every point's result.
@@ -556,24 +558,12 @@ def replay_map(
     """
     configs = list(configs)
     audit_mode = resolve_audit_mode(audit)
-    from repro.harness.supervisor import active_context
-
+    in_process = resolve_jobs(jobs) <= 1 or len(configs) < 2
     with telemetry.span("replay"):
-        # With no supervisor installed, a serial sweep skips the map
-        # machinery entirely; under supervision even a serial sweep
-        # routes through the supervised map so journaling and retries
-        # apply.
-        if active_context() is None and (
-            resolve_jobs(jobs) <= 1 or len(configs) < 2
-        ):
-            return [
-                replay(log, config, spec=spec, lenient=lenient, audit=audit_mode)
-                for config in configs
-            ]
         log_key = log_key or log.content_digest()
         spill_dir: str | None = None
         try:
-            if entry_dir is None:
+            if not in_process and entry_dir is None:
                 import tempfile
 
                 spill_dir = tempfile.mkdtemp(prefix="repro-log-spill-")
@@ -582,13 +572,13 @@ def replay_map(
                 if entry is not None:
                     entry_dir = str(entry)
                     telemetry.counter("repro_replay_log_spills_total").inc()
-            # A refused spill (disk full even for the temp cache) falls
-            # back to pickling the log in-band: slower, correct, and
-            # already recorded as a degradation by the cache's ENOSPC
-            # handling.
+            # A refused spill (disk full even for the temp cache) sends
+            # the in-process handle to the pool, pickling the log per
+            # task: slower, correct, and already recorded as a
+            # degradation by the cache's ENOSPC handling.
             handle = (
                 _LogHandle(key=log_key, log=log)
-                if entry_dir is None
+                if in_process or entry_dir is None
                 else _LogHandle(key=log_key, entry_dir=entry_dir)
             )
             return parallel_map(

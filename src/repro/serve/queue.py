@@ -45,6 +45,17 @@ _MODE_RANK = {"interactive": 0, "batch": 1}
 
 MODES = tuple(_MODE_RANK)
 
+
+def check_mode_and_priority(mode: Any, priority: Any) -> None:
+    """Refuse a request's ``mode`` or ``priority`` with a 400."""
+    if mode not in MODES:
+        raise ServeError(
+            f"mode must be one of {', '.join(MODES)}, got {mode!r}", status=400
+        )
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        raise ServeError(f"priority must be an integer, got {priority!r}", status=400)
+
+
 #: Job lifecycle: ``pending`` (admitted, queued) → ``running`` (in a
 #: replay pass) → ``done`` | ``failed``.  Deduplicated jobs are born
 #: ``done``; a drained-away job ends ``cancelled``.
@@ -166,13 +177,7 @@ class JobQueue:
 
     def submit(self, spec: JobSpec, mode: str, priority: int, job_id: str) -> Job:
         """Admit one job, or raise the backpressure/drain rejection."""
-        if mode not in _MODE_RANK:
-            raise ServeError(
-                f"mode must be one of {', '.join(_MODE_RANK)}, got {mode!r}",
-                status=400,
-            )
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ServeError(f"priority must be an integer, got {priority!r}", status=400)
+        check_mode_and_priority(mode, priority)
         with self._lock:
             if self._draining or self._stopped:
                 self.counts["rejected_draining"] += 1

@@ -45,7 +45,13 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import JobSpecError, ReproError, ServeError
 from repro.serve.jobspec import JobSpec, run_batch, summarize_results
-from repro.serve.queue import Batch, Job, JobQueue
+from repro.serve.queue import (
+    MODES,
+    Batch,
+    Job,
+    JobQueue,
+    check_mode_and_priority,
+)
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.sinks import render_prometheus
 
@@ -128,12 +134,17 @@ class JobServer:
             )
         mode = payload.get("mode", "batch")
         priority = payload.get("priority", 0)
+        # Checked before the result-store lookup, so a request's status
+        # never depends on what the store holds.
         try:
+            check_mode_and_priority(mode, priority)
             spec = JobSpec.from_json(payload.get("spec"))
-        except JobSpecError as error:
+        except (ServeError, JobSpecError) as error:
             self.counts["invalid"] += 1
             telemetry.counter(
-                "repro_serve_requests_total", mode=str(mode), outcome="invalid"
+                "repro_serve_requests_total",
+                mode=mode if mode in MODES else "unknown",
+                outcome="invalid",
             ).inc()
             raise ServeError(str(error), status=400) from error
         key = spec.content_key()
@@ -147,8 +158,8 @@ class JobServer:
                 job = Job(
                     id=f"job-{self._job_seq:06d}",
                     spec=spec,
-                    mode=mode if mode in ("interactive", "batch") else "batch",
-                    priority=priority if isinstance(priority, int) else 0,
+                    mode=mode,
+                    priority=priority,
                     seq=0,
                 )
                 now = time.monotonic()

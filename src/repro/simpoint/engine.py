@@ -39,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.audit import AUDIT_OFF
 from repro.cache.emulator import DragonheadConfig, DragonheadEmulator
 from repro.cache.stats import CacheStats
-from repro.core.cosim import CoSimResult
+from repro.core.cosim import CoSimResult, finish_run
 from repro.errors import SamplingError
-from repro.faults.report import collect_run_degradation
 from repro.harness.replay import ReplayLog, replay
 from repro.simpoint.cluster import Clustering, cluster_intervals
 from repro.simpoint.fingerprint import (
@@ -306,15 +306,16 @@ def _replay_representatives(
             emulator.reset_statistics()
         emulator.emulate_stream(chunk[lo:hi], slice_progress(table, lo, hi))
         measured += hi - lo
-        performance = emulator.read_performance_data()
-        results[rep] = CoSimResult(
+        # Sampled specs refuse --audit, and the cycle total feeds only
+        # the audit.
+        results[rep] = finish_run(
+            emulator,
+            None,
             workload=log.workload,
             cores=log.cores,
-            performance=performance,
             instructions=int(per_interval_instructions[rep]),
-            accesses=performance.stats.accesses,
-            filtered=performance.filtered_transactions,
-            degradation=collect_run_degradation(None, performance),
+            cycles=0,
+            audit_mode=AUDIT_OFF,
         )
     return results, measured, warmed
 

@@ -238,3 +238,98 @@ class TestTraceCacheIntegration:
         out = capsys.readouterr().out
         assert "Cache-size sweep (2 configurations" in out
         assert "misses=1 stores=1" in out
+
+
+#: (supervised, trace cache, jobs, configurations) per map shape.
+IN_PROCESS_MAPS = {
+    "unsupervised-serial": (False, False, None, 2),
+    "supervised-serial-cached": (True, True, None, 2),
+    "supervised-serial-uncached": (True, False, None, 2),
+    "supervised-pool-one-config": (True, False, 2, 1),
+}
+
+
+class TestLogTransport:
+    """The log's transport follows the process boundary.  Points that
+    run in this process replay the log it holds: nothing is spilled and
+    no entry is re-read.  Only a pool map memory-maps an on-disk entry,
+    spilling an uncached log first."""
+
+    @pytest.fixture
+    def observed(self, monkeypatch):
+        """Telemetry on; the entry paths replay points re-read."""
+        import repro.harness.replay as replay_module
+        from repro.telemetry import runtime as telemetry
+
+        reads = []
+        real = replay_module.load_validated_entry
+
+        def counting(entry_dir):
+            reads.append(entry_dir)
+            return real(entry_dir)
+
+        monkeypatch.setattr(replay_module, "load_validated_entry", counting)
+        telemetry.configure()
+        try:
+            yield reads, telemetry.registry()
+        finally:
+            telemetry.configure(enabled=False)
+
+    @staticmethod
+    def _spec(configs: int):
+        from repro.serve.jobspec import JobSpec
+
+        return JobSpec.from_json(
+            {"workload": "FIMI", "cores": 2, "source": "synthetic",
+             "accesses": 2048, "cache": [MB, 4 * MB][:configs]}
+        )
+
+    @pytest.mark.parametrize("shape", IN_PROCESS_MAPS)
+    def test_in_process_points_replay_the_held_log(self, shape, observed, tmp_path):
+        from repro.harness.supervisor import supervise
+        from repro.serve.jobspec import result_digest
+
+        reads, registry = observed
+        supervised, cached, jobs, configs = IN_PROCESS_MAPS[shape]
+        spec = self._spec(configs)
+        cache = TraceCache(tmp_path) if cached else None
+        runs = 1
+        if cached:
+            spec.run(trace_cache=cache)  # fill the cache: the run loads it
+            runs = 2
+        if supervised:
+            with supervise():
+                results = spec.run(trace_cache=cache, jobs=jobs)
+        else:
+            results = spec.run(trace_cache=cache, jobs=jobs)
+        assert registry.value("repro_replay_log_spills_total") is None
+        assert reads == []
+        # Every point replayed here, in this process's registry.
+        assert registry.value("repro_replay_points_total") == configs * runs
+        assert result_digest(results) == result_digest(spec.run())
+
+    def test_pool_map_spills_an_uncached_log_once(self, observed):
+        from repro.serve.jobspec import result_digest
+
+        _, registry = observed
+        spec = self._spec(2)
+        results = spec.run(jobs=2)
+        assert registry.value("repro_replay_log_spills_total") == 1
+        assert result_digest(results) == result_digest(spec.run())
+
+    def test_a_failed_point_names_the_log_by_its_key(self, monkeypatch):
+        """An unsupervised serial map fails like any other map, and the
+        error text, which a served job's ``error`` copies, quotes the
+        log's handle without its arrays."""
+        import repro.harness.replay as replay_module
+        from repro.errors import SweepPointError
+
+        def fail(*args, **kwargs):
+            raise ValueError("forced")
+
+        monkeypatch.setattr(replay_module, "replay", fail)
+        with pytest.raises(SweepPointError) as excinfo:
+            self._spec(1).run()
+        assert isinstance(excinfo.value.cause, ValueError)
+        assert "_LogHandle(key=" in str(excinfo.value)
+        assert "ReplayLog" not in str(excinfo.value)

@@ -170,6 +170,57 @@ class TestCLIMapping:
         assert spec == JobSpec(workload="FIMI")
 
 
+class TestJobFile:
+    """``repro-cosim --job FILE`` runs exactly what its flags would."""
+
+    FLAGS = ["--workload", "FIMI", "--cores", "2", "--cache", "1MB,4MB",
+             "--source", "synthetic", "--accesses", "2048"]
+
+    def _job_text(self) -> str:
+        spec = JobSpec.from_cli_args(build_parser().parse_args(self.FLAGS))
+        return json.dumps(spec.to_json())
+
+    @staticmethod
+    def _digest(argv: list[str], capsys) -> str:
+        from repro.harness import cli
+
+        assert cli.main([*argv, "--digest", "--trace-cache", "off"]) == EXIT_OK
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("result digest: ")
+        ]
+        return line
+
+    def test_spec_flags_beside_it_are_refused(self, tmp_path, capsys):
+        from repro.harness import cli
+
+        path = tmp_path / "job.json"
+        path.write_text(self._job_text())
+        argv = ["--job", str(path), "--cores", "8", "--line", "128",
+                "--sample", "8k", "--print-job"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "--job cannot be combined with --cores, --line, --sample" in err
+        assert out == ""
+
+    def test_file_digest_equals_the_flags_digest(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(self._job_text())
+        assert self._digest(["--job", str(path)], capsys) == self._digest(
+            self.FLAGS, capsys
+        )
+
+    def test_dash_reads_the_spec_from_stdin(self, monkeypatch, capsys):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(self._job_text()))
+        assert self._digest(["--job", "-"], capsys) == self._digest(
+            self.FLAGS, capsys
+        )
+
+
 class TestCoalesceKeys:
     def test_same_capture_different_geometry_coalesces(self):
         a = _spec(cache=(1024 * 1024,))
@@ -307,8 +358,9 @@ def _runall(exhibit: str):
         # the cause of a SweepPointError.
         (_cosim, "audit"),
         (_cosim, "deadline"),
-        # runall replays outside any map, so both exhibits raise a bare
-        # AuditError.
+        # ablations calls replay() outside any map and raises a bare
+        # AuditError; bandwidth_study maps its replays, so there the
+        # AuditError is the cause of a SweepPointError.
         (_runall("ablations"), "audit"),
         (_runall("bandwidth_study"), "audit"),
     ],

@@ -187,6 +187,24 @@ class TestServer:
             server.submit([1, 2])
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "field, value", [("mode", "bogus"), ("mode", ["batch"]), ("priority", "high")]
+    )
+    def test_bad_mode_or_priority_is_400_whatever_the_store_holds(
+        self, server, field, value
+    ):
+        first, _ = server.submit({"spec": SPEC})
+        server.get_job(first["job_id"], wait=120)
+        # The first spec's result is stored; the second's is not.
+        for spec in (SPEC, _spec(accesses=1024)):
+            with pytest.raises(ServeError) as excinfo:
+                server.submit({"spec": spec, field: value})
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
+        assert server.counts["invalid"] == 2
+        assert server.counts["submitted"] == 1
+        assert server.counts["deduplicated"] == 0
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServeError) as excinfo:
             server.get_job("job-999999")
