@@ -149,33 +149,17 @@ class SetAssociativeCache:
         LRU caches run through the batched :class:`FastLRUKernel` path;
         every other policy falls back to the generic per-access loop.
         """
-        hits = self.probe_lines_batch(lines, kinds, cores)
-        return len(lines) - int(np.count_nonzero(hits))
-
-    def probe_lines_batch(
-        self,
-        lines: np.ndarray,
-        kinds: np.ndarray,
-        cores: np.ndarray | int,
-    ) -> np.ndarray:
-        """Like :meth:`access_lines_batch`, but returns the hit mask.
-
-        The per-access boolean result (in stream order) is what the
-        batched emulator pipeline needs to aggregate window samples by
-        prefix sums; state updates and statistics accounting are
-        identical to :meth:`access_lines_batch`.
-        """
         policy = self._policy
         stats = self.stats
         if isinstance(policy, FastLRUKernel):
             result = policy.lookup_batch(lines)
             stats.evictions += result.evictions
             stats.note_batch(kinds, cores, result.hits)
-            return result.hits
+            return result.misses
         set_mask = self._set_mask
         read_kind = int(AccessKind.READ)
         scalar_core = isinstance(cores, (int, np.integer))
-        hits = np.empty(len(lines), dtype=bool)
+        misses = 0
         # Local-variable binding keeps the per-access Python overhead low.
         for i in range(len(lines)):
             line = int(lines[i])
@@ -184,8 +168,28 @@ class SetAssociativeCache:
                 stats.evictions += 1
             core = int(cores) if scalar_core else int(cores[i])
             stats.note_access(core, int(kinds[i]) == read_kind, hit)
-            hits[i] = hit
-        return hits
+            misses += not hit
+        return misses
+
+    def loop_misses(self, lines: np.ndarray) -> tuple[np.ndarray, int]:
+        """Run lines through the directory in order, uncounted.
+
+        Returns the ascending indices of the misses and the eviction
+        count; the caller accounts them.  The emulator's batched probe
+        sends here every set the stack rule cannot resolve.
+        """
+        policy = self._policy
+        if isinstance(policy, FastLRUKernel):
+            return policy.loop_misses(lines)
+        set_mask = self._set_mask
+        misses = []
+        evictions = 0
+        for i, line in enumerate(lines.tolist()):
+            hit, evicted = policy.lookup(line & set_mask, line)
+            evictions += evicted is not None
+            if not hit:
+                misses.append(i)
+        return np.array(misses, dtype=np.intp), evictions
 
     def access_stream(self, stream) -> CacheStats:
         """Drain a trace stream through the cache; returns final stats."""

@@ -14,11 +14,17 @@ The model preserves that architecture:
   (the paper: "the SoftSDV code and the host OS will also execute
   during the simulation, and by restricting the emulation to the window
   between start and stop, these accesses are excluded").
-* :class:`CacheControllerBank` is one CC FPGA: a slice of the shared
-  LLC selected by low line-number bits, so the four controllers share
-  the load the way address-interleaved hardware banks do.
-* :class:`ControlBoard` aggregates bank counters and exposes the
-  ``read_performance_data`` the host polls.
+* The four CC FPGAs are four :class:`~repro.cache.cache.SetAssociativeCache`
+  banks of one geometry in :attr:`DragonheadEmulator.banks`.  Line
+  ``l`` goes to bank ``l & 3`` as bank-local line ``l >> 2``, so the
+  controllers share the load the way address-interleaved hardware
+  banks do, and together they are one array of ``4 * S`` sets (``S``
+  sets per bank) indexed by ``l & (4 * S - 1)``.  A batch probes all
+  four as that one array (:meth:`DragonheadEmulator._probe`).
+* The CB is :class:`DragonheadEmulator`'s readout side: its
+  :class:`~repro.cache.sampling.WindowSampler` closes the 500 µs
+  windows, and :meth:`~DragonheadEmulator.read_performance_data`
+  aggregates the bank counters the host polls.
 
 Configuration limits mirror the hardware: cache sizes 1 MB–256 MB, line
 sizes 64 B–4096 B, LRU replacement (Section 3.1).
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cache.cache import CacheConfig, SetAssociativeCache
+from repro.cache.fastlru import FastLRUKernel, count_paths, run_starts, stack_pass
 from repro.cache.stats import CacheStats
 from repro.faults.report import RECOVERED, DegradationRecord, records_from_counts
 from repro.protocol import Message, MessageCodec, MessageKind
@@ -72,10 +79,9 @@ def derive_bank_shift(num_banks: int) -> int:
 
 BANK_SHIFT = derive_bank_shift(NUM_BANKS)
 
-#: Precomputed numpy operands for the vectorized bank-routing path.
-#: ``& _BANK_MASK`` equals ``% NUM_BANKS`` exactly because
+#: Precomputed numpy operand for the vectorized bank-routing path.
+#: ``& (NUM_BANKS - 1)`` equals ``% NUM_BANKS`` exactly because
 #: :func:`derive_bank_shift` guarantees a power-of-two bank count.
-_BANK_MASK = np.uint64(NUM_BANKS - 1)
 _BANK_SHIFT_U64 = np.uint64(BANK_SHIFT)
 
 
@@ -329,50 +335,90 @@ class DragonheadEmulator:
         lines = chunk.lines(self.config.line_size)
         if self._oracle is not None:
             self._oracle.observe(lines)
-        self._banked_probe(lines, chunk.kinds, self.af.current_core)
+        self._probe(lines, chunk.kinds, self.af.current_core)
 
-    def _banked_probe(self, lines, kinds, cores, collect_hits: bool = False):
-        """Route one line batch to the CC banks, vectorized.
+    def _probe(self, lines, kinds, cores) -> np.ndarray:
+        """Probe one line batch through the four CC banks and count it.
 
-        One stable argsort groups the batch by bank; ``searchsorted``
-        over the sorted bank indices yields each bank's contiguous
-        slice, probed with a single batch call.  The stable sort
-        preserves per-bank access order, which is all LRU state depends
-        on — so this is bit-identical to per-access dispatch.
+        The banks are one interleaved array of sets, so the batch is
+        probed whole: one repeat collapse, then :func:`stack_pass`
+        resolves every set of an empty LRU bank that receives at most
+        ``associativity`` distinct lines.  Every other set (an
+        overflowing set, a bank that already holds lines, a non-LRU
+        bank) runs its own bank's loop in stream order.  Resolved sets
+        stay in their bank's kernel as arrays until something reads it.
 
-        ``cores`` may be a scalar (whole batch one core) or a
-        per-access array.  With ``collect_hits`` the per-access hit
-        mask is gathered back to stream order and returned.
+        ``cores`` may be a scalar (the whole batch one core) or a
+        per-access array.  Returns the stream positions of the misses,
+        ascending.
         """
-        bank_index = (lines & _BANK_MASK).astype(np.uint8)
-        order = np.argsort(bank_index, kind="stable")
-        sorted_banks = bank_index[order]
-        bounds = np.searchsorted(
-            sorted_banks, np.arange(NUM_BANKS + 1, dtype=np.uint8), side="left"
-        )
-        sorted_lines = lines[order] >> _BANK_SHIFT_U64
-        sorted_kinds = kinds[order]
-        per_access_cores = not np.isscalar(cores) and getattr(cores, "ndim", 0) > 0
-        sorted_cores = cores[order] if per_access_cores else cores
-        hits_sorted = np.empty(len(lines), dtype=bool) if collect_hits else None
-        for b in range(NUM_BANKS):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            if lo == hi:
-                continue
-            bank_cores = sorted_cores[lo:hi] if per_access_cores else sorted_cores
-            if collect_hits:
-                hits_sorted[lo:hi] = self.banks[b].probe_lines_batch(
-                    sorted_lines[lo:hi], sorted_kinds[lo:hi], bank_cores
-                )
-            else:
-                self.banks[b].access_lines_batch(
-                    sorted_lines[lo:hi], sorted_kinds[lo:hi], bank_cores
-                )
-        if not collect_hits:
-            return None
-        hits = np.empty(len(lines), dtype=bool)
-        hits[order] = hits_sorted
-        return hits
+        keep = run_starts(lines)
+        collapsed = keep.size < lines.size
+        probe = lines[keep] if collapsed else lines
+        policies = [bank._policy for bank in self.banks]
+        fresh = [isinstance(p, FastLRUKernel) and p.empty for p in policies]
+        found = None
+        if any(fresh):
+            bank_config = self.banks[0].config
+            found = stack_pass(
+                probe, bank_config.num_sets, bank_config.associativity, fresh
+            )
+        if found is None:
+            misses = self._loop(probe)
+        else:
+            loop_at = found.loop_at
+            count_paths(probe.size - (0 if loop_at is None else loop_at.size), 0)
+            misses = [found.misses]
+            if loop_at is not None:
+                misses += [loop_at[at] for at in self._loop(probe[loop_at])]
+            # After the loops, which read only the sets left to them.
+            for policy, resolved in zip(policies, found.resolved):
+                if resolved is not None:
+                    policy.hold(resolved)
+        miss_at = np.concatenate(misses)
+        miss_at.sort()
+        if collapsed:
+            miss_at = keep[miss_at]
+        self._count(lines, kinds, cores, miss_at)
+        return miss_at
+
+    def _loop(self, lines: np.ndarray) -> list[np.ndarray]:
+        """Run each bank's share of ``lines`` through its loop, in order.
+
+        Returns each bank's misses as ascending indices into ``lines``.
+        """
+        bank_of = lines.astype(np.uint8)
+        bank_of &= NUM_BANKS - 1
+        misses = []
+        for b, bank in enumerate(self.banks):
+            at = np.flatnonzero(bank_of == b)
+            if at.size:
+                tags = lines[at] >> _BANK_SHIFT_U64
+                bank_misses, evictions = bank.loop_misses(tags)
+                bank.stats.evictions += evictions
+                misses.append(at[bank_misses])
+        return misses
+
+    def _count(self, lines, kinds, cores, miss_at: np.ndarray) -> None:
+        """Each bank's counters from one bincount keyed by (bank, core, read).
+
+        A second bincount over the keys at the miss positions supplies
+        every bank's misses per core and kind.  The key takes the
+        narrowest unsigned type that holds it (one byte up to 32 cores).
+        """
+        ncores = int(np.max(cores)) + 1
+        size = NUM_BANKS * ncores * 2
+        key = lines.astype(np.min_scalar_type(size - 1))
+        key &= NUM_BANKS - 1
+        key *= ncores
+        key += cores
+        key *= 2
+        key += kinds == int(AccessKind.READ)
+        shape = (NUM_BANKS, ncores, 2)
+        accesses = np.bincount(key, minlength=size).reshape(shape).tolist()
+        misses = np.bincount(key[miss_at], minlength=size).reshape(shape).tolist()
+        for bank, bank_accesses, bank_misses in zip(self.banks, accesses, misses):
+            bank.stats.note_counts(bank_accesses, bank_misses)
 
     def emulate_stream(
         self, chunk: TraceChunk, progress: np.ndarray, filtered: int = 0
@@ -395,12 +441,14 @@ class DragonheadEmulator:
             filtered: out-of-window transaction count to restore (what
                 the AF dropped before/around the captured session).
 
+        The whole stream is one :meth:`_probe` over the four CC banks.
         The 500 µs windows are aggregated by ``searchsorted`` over the
-        progress series (one cumulative-miss prefix sum supplies every
-        window's counters) instead of a per-message clock check.  Only
-        available on a strict emulator: the lenient channel model
-        (anomaly resynchronization, window interpolation) keeps the
-        per-message path.
+        progress series instead of a per-message clock check: the
+        misses before each progress report are one ``searchsorted`` of
+        its offset into the miss positions.  Only available on a strict
+        emulator: the lenient channel model (anomaly
+        resynchronization, window interpolation) keeps the per-message
+        path.
         """
         if not self.strict:
             raise ConfigurationError(
@@ -440,23 +488,18 @@ class DragonheadEmulator:
             lines = chunk.lines(self.config.line_size)
             if self._oracle is not None:
                 self._oracle.observe(lines)
-            hits = self._banked_probe(
-                lines, chunk.kinds, chunk.cores, collect_hits=True
-            )
+            miss_at = self._probe(lines, chunk.kinds, chunk.cores)
             af.current_core = int(chunk.cores[-1])
             core_messages = 1 + int(
                 np.count_nonzero(chunk.cores[1:] != chunk.cores[:-1])
             )
             telemetry.counter("repro_cosim_batched_accesses_total").inc(n)
         else:
-            hits = np.empty(0, dtype=bool)
+            miss_at = np.empty(0, dtype=np.intp)
             core_messages = 0
         if len(progress):
-            cumulative_misses = np.concatenate(
-                ([0], np.cumsum(~hits, dtype=np.int64))
-            )
             self.sampler.advance_series(
-                cycles, instructions, offsets, cumulative_misses[offsets]
+                cycles, instructions, offsets, np.searchsorted(miss_at, offsets)
             )
             af.instructions_retired = int(instructions[-1])
             af.cycles_completed = int(cycles[-1])

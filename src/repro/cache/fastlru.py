@@ -27,7 +27,7 @@ implicit: CPython dicts preserve insertion order, making
 delete-and-reinsert the fastest recency update available without a C
 extension.
 
-Three further optimizations matter on real chunk shapes:
+Four further optimizations matter on real chunk shapes:
 
 * Consecutive same-line repeats are collapsed before the loop.  A
   chunk access whose tag equals the immediately-previous access's is
@@ -43,15 +43,17 @@ Three further optimizations matter on real chunk shapes:
   a set that starts empty and receives at most ``associativity``
   distinct tags never evicts, so its misses are exactly the first
   access to each tag and its final recency order (LRU→MRU) is the
-  order of each tag's last use.  One sort counts the distinct tags
-  per set; if any set fits, one argsort yields every tag's first and
-  last use, and each fitting set's dict is built in one call from its
-  tags in last-use order.  Only the accesses of sets that overflow run
-  the loop.  Every ``emulate_stream`` replay probes each bank once on
-  a fresh emulator, so this is the replay path's case; a batch into a
-  kernel that already holds lines (the per-event path after its first
-  chunk) runs the loop throughout, and an allocated-set count keeps
-  that test O(1).
+  order of each tag's last use.  :func:`stack_pass` applies that rule
+  once, to a line stream spread over one or more interleaved banks:
+  one sort counts the distinct lines per set, and if any set fits, one
+  argsort yields every line's first and last use.  Only the accesses
+  of sets that overflow, or of banks that already hold lines, run the
+  loop.  ``DragonheadEmulator`` calls it over its four CC banks at
+  once; :meth:`FastLRUKernel.lookup_batch` is its one-bank case.
+* A resolved set's directory stays as arrays (:class:`ResolvedSets`)
+  until something reads the kernel: a scalar lookup, a later batch, a
+  directory dump or ``resident_tags``.  A replay whose emulator is
+  dropped after its readout never builds a per-set dict for them.
 * The per-set container is chosen by geometry.  Plain dicts are
   fastest for normal associativities, but their eviction pattern
   (delete the head, insert at the tail) leaves tombstones that
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,7 +99,7 @@ _ABSENT = object()
 _ORDERED_SET_MIN_ASSOC = 128
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
+def run_starts(values: np.ndarray) -> np.ndarray:
     """Index of the first element of every run of equal adjacent values."""
     new_run = np.empty(values.size, dtype=bool)
     new_run[:1] = True
@@ -121,6 +124,110 @@ class BatchResult:
         return int(self.hits.size - np.count_nonzero(self.hits))
 
 
+@dataclass(frozen=True, slots=True)
+class ResolvedSets:
+    """One bank's sets resolved by the stack rule, as arrays.
+
+    ``sets`` holds the set indices in ascending order; set ``sets[i]``
+    holds ``tags[bounds[i]:bounds[i + 1]]``, LRU→MRU.
+    """
+
+    sets: np.ndarray
+    tags: np.ndarray
+    bounds: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class StackPass:
+    """Outcome of :func:`stack_pass` over a collapsed line stream.
+
+    Attributes:
+        misses: stream indices of the resolved sets' misses (each
+            resolved line's first touch), in no particular order.
+        loop_at: stream indices, ascending, of the accesses whose sets
+            must run the loop; None when every access resolved.
+        resolved: one :class:`ResolvedSets` per bank (None for a bank
+            with no resolved set).
+    """
+
+    misses: np.ndarray
+    loop_at: np.ndarray | None
+    resolved: list[ResolvedSets | None]
+
+
+def stack_pass(
+    lines: np.ndarray, num_sets: int, associativity: int, fresh: Sequence[bool]
+) -> StackPass | None:
+    """Resolve every set that never fills, over ``len(fresh)`` banks.
+
+    ``lines`` is a line stream with no consecutive repeats.  With ``B``
+    banks (a power of two), line ``l`` goes to bank ``l & (B - 1)`` as
+    tag ``l >> log2(B)``, in set ``tag & (num_sets - 1)``; together the
+    banks form one array of ``B * num_sets`` sets indexed by
+    ``l & (B * num_sets - 1)``.  A set of a bank that starts empty
+    (``fresh[bank]``) and receives at most ``associativity`` distinct
+    lines resolves by the stack rule: its misses are its first touches
+    and its directory is its tags in last-use order.  Every other set's
+    accesses are left to the loop.
+    """
+    m = lines.size
+    banks = len(fresh)
+    shift = banks.bit_length() - 1
+    # One sort finds the distinct lines and so the per-set counts; it
+    # is all that a stream in which no set fits pays up front.
+    sorted_lines = np.sort(lines)
+    starts = run_starts(sorted_lines)
+    distinct = sorted_lines[starts]
+    set_of = (distinct & np.uint64(banks * num_sets - 1)).astype(np.intp)
+    fits = np.bincount(set_of, minlength=banks * num_sets) <= associativity
+    if not all(fresh):
+        fits.reshape(num_sets, banks)[:, ~np.asarray(fresh, dtype=bool)] = False
+    fit_lines = fits[set_of]
+    if not fit_lines.any():
+        return None
+    # Sorted values do not depend on the algorithm, so ``starts`` also
+    # delimits each line's accesses in the argsort's order.
+    order = np.argsort(lines)
+    first = np.minimum.reduceat(order, starts)
+    last = np.maximum.reduceat(order, starts)
+    loop_at = None
+    if not fit_lines.all():
+        set_mask = np.uint64(banks * num_sets - 1)
+        loop_at = np.flatnonzero(~fits[(lines & set_mask).astype(np.intp)])
+        set_of, first, last = set_of[fit_lines], first[fit_lines], last[fit_lines]
+    # Group by bank, then set; each set's LRU→MRU order is last use.
+    # A last use names its line, so one sort of packed (bank, set, last
+    # use) keys orders every directory, with no argsort.
+    bank_set = (set_of & (banks - 1)) * num_sets + (set_of >> shift)
+    bank_set, last = np.divmod(np.sort(bank_set * m + last), m)
+    tags = lines[last] >> np.uint64(shift)
+    set_starts = run_starts(bank_set)
+    heads = bank_set[set_starts]
+    ends = np.append(set_starts, tags.size)
+    cuts = np.searchsorted(heads, np.arange(banks + 1) * num_sets)
+    resolved: list[ResolvedSets | None] = []
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        bounds = ends[lo : hi + 1]
+        resolved.append(
+            ResolvedSets(
+                sets=heads[lo:hi] & (num_sets - 1),
+                tags=tags[bounds[0] : bounds[-1]],
+                bounds=bounds - bounds[0],
+            )
+            if hi > lo
+            else None
+        )
+    return StackPass(first, loop_at, resolved)
+
+
+def count_paths(resolved: int, looped: int) -> None:
+    """Count probed accesses by path, the stack rule's or the loop's."""
+    if telemetry.enabled():
+        counter = telemetry.counter
+        counter("repro_fastlru_accesses_total", path="resolved").inc(resolved)
+        counter("repro_fastlru_accesses_total", path="looped").inc(looped)
+
+
 class FastLRUKernel(ReplacementPolicy):
     """Exact LRU with O(1) scalar operations and a batched lookup path."""
 
@@ -134,16 +241,47 @@ class FastLRUKernel(ReplacementPolicy):
         # geometries, and eagerly building (say) 16 k dicts per 64 MB
         # bank costs more than the replay itself.  ``None`` marks a
         # never-touched (empty) set; ``_allocated`` counts the others,
-        # so "is the whole kernel empty" is one integer test.
-        self._sets: list[dict[int, None] | None] = [None] * num_sets
+        # resolved ones included, so "is the whole kernel empty" is one
+        # integer test.
+        self._set_list: list[dict[int, None] | None] = [None] * num_sets
+        self._resolved: ResolvedSets | None = None
         self._allocated = 0
+
+    @property
+    def _sets(self) -> list[dict[int, None] | None]:
+        """The per-set dicts, built first from any resolved arrays."""
+        resolved = self._resolved
+        if resolved is not None:
+            self._resolved = None
+            sets, fromkeys = self._set_list, self._set_factory.fromkeys
+            tag_list = resolved.tags.tolist()
+            bounds = resolved.bounds.tolist()
+            for set_index, lo, hi in zip(resolved.sets.tolist(), bounds, bounds[1:]):
+                sets[set_index] = fromkeys(tag_list[lo:hi])
+        return self._set_list
+
+    @property
+    def empty(self) -> bool:
+        """Whether no set holds a line (the stack rule applies)."""
+        return not self._allocated
+
+    def hold(self, resolved: ResolvedSets) -> None:
+        """Keep sets the stack rule resolved as arrays until read.
+
+        Only sets that are still empty may be handed over, and only
+        while the kernel holds no other resolved arrays.
+        """
+        assert self._resolved is None, "resolved sets are already held"
+        self._resolved = resolved
+        self._allocated += int(resolved.sets.size)
 
     # -- scalar path (ReplacementPolicy interface) ----------------------
 
     def lookup(self, set_index: int, tag: int) -> tuple[bool, int | None]:
-        ways = self._sets[set_index]
+        sets = self._sets
+        ways = sets[set_index]
         if ways is None:
-            ways = self._sets[set_index] = self._set_factory()
+            ways = sets[set_index] = self._set_factory()
             self._allocated += 1
         if tag in ways:
             del ways[tag]
@@ -168,7 +306,8 @@ class FastLRUKernel(ReplacementPolicy):
         return False
 
     def flush(self) -> None:
-        self._sets = [None] * self.num_sets
+        self._set_list = [None] * self.num_sets
+        self._resolved = None
         self._allocated = 0
 
     def resident_tags(self, set_index: int) -> list[int]:
@@ -195,76 +334,46 @@ class FastLRUKernel(ReplacementPolicy):
         # Collapse consecutive repeats of one tag: each is an MRU hit
         # with no eviction and no state change (see module docstring
         # for why), so only the first access of a run is probed.
-        keep = _run_starts(tag_arr)
+        keep = run_starts(tag_arr)
         collapsed = keep.size < n
         if collapsed:
             tag_arr = tag_arr[keep]
-        if self._allocated or not tag_arr.size:
+        found = None
+        if self.empty and tag_arr.size:
+            found = stack_pass(tag_arr, self.num_sets, self.associativity, (True,))
+        if found is None:
             hit_arr, evictions = self._probe_loop(tag_arr)
             resolved = 0
         else:
-            hit_arr, evictions, resolved = self._probe_empty(tag_arr)
-        if telemetry.enabled():
-            counter = telemetry.counter
-            counter("repro_fastlru_accesses_total", path="resolved").inc(resolved)
-            counter("repro_fastlru_accesses_total", path="looped").inc(
-                hit_arr.size - resolved
+            hit_arr = np.ones(tag_arr.size, dtype=bool)
+            hit_arr[found.misses] = False
+            evictions = 0
+            if found.loop_at is not None:
+                hit_arr[found.loop_at], evictions = self._probe_loop(
+                    tag_arr[found.loop_at]
+                )
+            resolved = tag_arr.size - (
+                0 if found.loop_at is None else found.loop_at.size
             )
+            # After the loop: it reads only sets the stack pass left.
+            self.hold(found.resolved[0])
+        count_paths(resolved, hit_arr.size - resolved)
         if collapsed:
             full_hits = np.ones(n, dtype=bool)
             full_hits[keep] = hit_arr
             hit_arr = full_hits
         return BatchResult(hits=hit_arr, evictions=evictions)
 
-    def _probe_empty(self, tag_arr: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """Probe a batch into an all-empty kernel: (hits, evictions, resolved).
+    def loop_misses(self, tags: np.ndarray) -> tuple[np.ndarray, int]:
+        """Run ``tags`` through the loop: (miss indices, evictions).
 
-        Sets that receive at most ``associativity`` distinct tags are
-        resolved without the loop (first touch misses, the directory
-        is last-use order); the other sets' accesses run the loop.
+        Consecutive repeats are collapsed first; the indices are into
+        ``tags`` and ascending.
         """
-        m = tag_arr.size
-        set_mask = self.num_sets - 1
-        # One sort finds the distinct tags and so the per-set counts;
-        # it is all that a batch in which no set fits pays up front.
-        sorted_tags = np.sort(tag_arr)
-        starts = _run_starts(sorted_tags)
-        distinct = sorted_tags[starts]
-        tag_sets = (distinct & set_mask).astype(np.intp)
-        per_set = np.bincount(tag_sets, minlength=self.num_sets)
-        fits = per_set <= self.associativity
-        fit_tags = fits[tag_sets]
-        if not fit_tags.any():
-            hit_arr, evictions = self._probe_loop(tag_arr)
-            return hit_arr, evictions, 0
-        # Sorted values do not depend on the algorithm, so ``starts``
-        # also delimits each tag's accesses in the argsort's order.
-        order = np.argsort(tag_arr)
-        first = np.minimum.reduceat(order, starts)
-        last = np.maximum.reduceat(order, starts)
-        hit_arr = np.ones(m, dtype=bool)
-        evictions = looped = 0
-        if fit_tags.all():
-            hit_arr[first] = False
-        else:
-            hit_arr[first[fit_tags]] = False
-            loop_at = np.flatnonzero(~fits[(tag_arr & set_mask).astype(np.intp)])
-            looped = loop_at.size
-            hit_arr[loop_at], evictions = self._probe_loop(tag_arr[loop_at])
-            distinct, tag_sets, last = (
-                distinct[fit_tags], tag_sets[fit_tags], last[fit_tags]
-            )
-        # Each fitting set's LRU→MRU order is its tags by last use.
-        by_recency = np.argsort(tag_sets * m + last)
-        dir_sets = tag_sets[by_recency]
-        run_starts = _run_starts(dir_sets)
-        tag_list = distinct[by_recency].tolist()
-        bounds = run_starts.tolist() + [len(tag_list)]
-        sets, fromkeys = self._sets, self._set_factory.fromkeys
-        for set_index, lo, hi in zip(dir_sets[run_starts].tolist(), bounds, bounds[1:]):
-            sets[set_index] = fromkeys(tag_list[lo:hi])
-        self._allocated += len(run_starts)
-        return hit_arr, evictions, m - looped
+        keep = run_starts(tags)
+        hits, evictions = self._probe_loop(tags[keep])
+        count_paths(0, keep.size)
+        return keep[~hits], evictions
 
     def _probe_loop(self, tag_arr: np.ndarray) -> tuple[np.ndarray, int]:
         """The per-access LRU loop: (hit mask, evictions)."""

@@ -193,7 +193,8 @@ class WindowSampler:
         ``i`` with a stats block whose cumulative access/miss counters
         equal ``accesses[i]`` / ``misses[i]``.  Window boundaries are
         located with one ``searchsorted`` over the (non-decreasing)
-        cycle series instead of a per-report clock comparison;
+        cycle series instead of a per-report clock comparison, and each
+        window's deltas are one ``diff`` of the series at its closers;
         ``side='left'`` preserves the exact-boundary contract — a report
         landing exactly on a boundary closes that window *with* its
         delta, just as the ``>=`` test in the scalar loop does.
@@ -225,34 +226,33 @@ class WindowSampler:
         ks = np.arange(self._window_index + 1, last + 1, dtype=np.int64)
         boundaries = np.ceil(ks * self._window_cycles).astype(np.int64)
         closers = np.searchsorted(cycles, boundaries, side="left")
-        prev_accesses = self._last_stats.accesses
-        prev_hits = self._last_stats.hits
-        prev_misses = self._last_stats.misses
-        prev_instructions = self._last_instructions
-        prev_cycles = self._last_cycles
-        for boundary, closer in zip(boundaries.tolist(), closers.tolist()):
-            at_accesses = int(accesses[closer])
-            at_misses = int(misses[closer])
-            at_instructions = int(instructions[closer])
+        columns = [
+            np.diff(series, prepend=start).tolist()
+            for series, start in (
+                (boundaries, self._last_cycles),
+                (instructions[closers], self._last_instructions),
+                (accesses[closers], self._last_stats.accesses),
+                (misses[closers], self._last_stats.misses),
+            )
+        ]
+        for cycle, instruction, access, miss in zip(*columns):
             self._emit(
                 WindowSample(
                     index=len(self.samples),
-                    cycles=boundary - prev_cycles,
-                    instructions=at_instructions - prev_instructions,
-                    accesses=at_accesses - prev_accesses,
-                    misses=at_misses - prev_misses,
+                    cycles=cycle,
+                    instructions=instruction,
+                    accesses=access,
+                    misses=miss,
                 )
             )
-            prev_accesses, prev_misses = at_accesses, at_misses
-            prev_hits = at_accesses - at_misses
-            prev_instructions, prev_cycles = at_instructions, boundary
+        closer = int(closers[-1])
         snapshot = CacheStats()
-        snapshot.accesses = prev_accesses
-        snapshot.hits = prev_hits
-        snapshot.misses = prev_misses
+        snapshot.accesses = int(accesses[closer])
+        snapshot.misses = int(misses[closer])
+        snapshot.hits = snapshot.accesses - snapshot.misses
         self._last_stats = snapshot
-        self._last_instructions = prev_instructions
-        self._last_cycles = prev_cycles
+        self._last_instructions = int(instructions[closer])
+        self._last_cycles = int(boundaries[-1])
         self._window_index = last
         self._next_boundary = self._boundary(last + 1)
 

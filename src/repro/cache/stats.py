@@ -14,6 +14,24 @@ import numpy as np
 from repro.trace.record import AccessKind
 
 
+def _bump(counts: dict[int, int], core: int, n: int) -> None:
+    """Add ``n`` to a core's count, keeping the keys in ascending order.
+
+    Every route into a bank's counters (a batched replay, a DEX slice
+    at a time, one access at a time) then builds the same dict, byte
+    for byte, whatever order the cores first reach the bank in.
+    """
+    if core in counts:
+        counts[core] += n
+        return
+    resort = bool(counts) and core < next(reversed(counts))
+    counts[core] = n
+    if resort:
+        items = sorted(counts.items())
+        counts.clear()
+        counts.update(items)
+
+
 def _dict_delta(now: dict[int, int], before: dict[int, int]) -> dict[int, int]:
     """Per-core counter differences, dropping cores with no new activity."""
     delta: dict[int, int] = {}
@@ -77,9 +95,9 @@ class CacheStats:
                 self.read_misses += 1
             else:
                 self.write_misses += 1
-        self.per_core_accesses[core] = self.per_core_accesses.get(core, 0) + 1
+        _bump(self.per_core_accesses, core, 1)
         if not hit:
-            self.per_core_misses[core] = self.per_core_misses.get(core, 0) + 1
+            _bump(self.per_core_misses, core, 1)
 
     def note_batch(
         self,
@@ -95,45 +113,40 @@ class CacheStats:
         whole chunk was issued by one core (the emulator's DEX slices).
         """
         hits = np.asarray(hits, dtype=bool)
-        n = int(hits.size)
-        if n == 0:
+        if hits.size == 0:
             return
-        kinds = np.asarray(kinds)
-        read_mask = kinds == int(AccessKind.READ)
-        reads = int(np.count_nonzero(read_mask))
-        hit_count = int(np.count_nonzero(hits))
-        miss_count = n - hit_count
-        miss_mask = ~hits
-        read_misses = int(np.count_nonzero(read_mask & miss_mask))
-        self.accesses += n
-        self.reads += reads
-        self.writes += n - reads
-        self.hits += hit_count
-        self.misses += miss_count
-        self.read_misses += read_misses
-        self.write_misses += miss_count - read_misses
-        if isinstance(cores, (int, np.integer)):
-            core = int(cores)
-            self.per_core_accesses[core] = self.per_core_accesses.get(core, 0) + n
+        key = (np.asarray(kinds) == int(AccessKind.READ)).astype(np.intp)
+        key += 2 * np.asarray(cores, dtype=np.intp)
+        size = int(key.max()) // 2 * 2 + 2
+        self.note_counts(
+            np.bincount(key, minlength=size).reshape(-1, 2).tolist(),
+            np.bincount(key[~hits], minlength=size).reshape(-1, 2).tolist(),
+        )
+
+    def note_counts(self, accesses, misses) -> None:
+        """Account outcomes already counted per core and access kind.
+
+        ``accesses[core]`` and ``misses[core]`` are ``(writes, reads)``
+        pairs: the accesses and misses of ``core`` by kind.  Per-core
+        dicts keep ascending core order.
+        """
+        for core, ((writes, reads), (write_misses, read_misses)) in enumerate(
+            zip(accesses, misses)
+        ):
+            total = writes + reads
+            if not total:
+                continue
+            miss_count = write_misses + read_misses
+            self.accesses += total
+            self.reads += reads
+            self.writes += writes
+            self.hits += total - miss_count
+            self.misses += miss_count
+            self.read_misses += read_misses
+            self.write_misses += write_misses
+            _bump(self.per_core_accesses, core, total)
             if miss_count:
-                self.per_core_misses[core] = (
-                    self.per_core_misses.get(core, 0) + miss_count
-                )
-            return
-        cores = np.asarray(cores)
-        access_counts = np.bincount(cores)
-        for core in np.nonzero(access_counts)[0]:
-            core = int(core)
-            self.per_core_accesses[core] = self.per_core_accesses.get(core, 0) + int(
-                access_counts[core]
-            )
-        if miss_count:
-            miss_counts = np.bincount(cores[miss_mask])
-            for core in np.nonzero(miss_counts)[0]:
-                core = int(core)
-                self.per_core_misses[core] = self.per_core_misses.get(core, 0) + int(
-                    miss_counts[core]
-                )
+                _bump(self.per_core_misses, core, miss_count)
 
     def conservation_violations(self, label: str = "") -> list[str]:
         """Conservation identities this counter block must satisfy.

@@ -32,6 +32,7 @@ it instead of receiving a pickled copy per task.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -132,6 +133,15 @@ class ReplayLog:
             self.core_tags(),
             np.asarray(self.pcs),
         )
+
+    @functools.cached_property
+    def session(self) -> tuple[TraceChunk, np.ndarray]:
+        """``(to_chunk(), progress_table())``, built once per log.
+
+        The batched replay's inputs: every point that replays this log
+        object in one process shares them.
+        """
+        return self.to_chunk(), self.progress_table()
 
     def content_digest(self) -> str:
         """SHA-256 over every field: the log's content address."""
@@ -335,9 +345,7 @@ def replay_into(log: ReplayLog, port) -> None:
     per-event loop: their semantics depend on seeing each message.
     """
     if isinstance(port, DragonheadEmulator) and port.strict:
-        port.emulate_stream(
-            log.to_chunk(), log.progress_table(), filtered=log.filtered
-        )
+        port.emulate_stream(*log.session, filtered=log.filtered)
         return
     addresses = log.addresses
     kinds = log.kinds
@@ -371,11 +379,8 @@ def replay_into(log: ReplayLog, port) -> None:
 
 def _scheduler_cycles(log: ReplayLog) -> int:
     """The simulation-domain cycle total: the last progress event's."""
-    cycles = 0
-    for opcode, _a, b in log.events:
-        if int(opcode) == EVENT_PROGRESS:
-            cycles = int(b)
-    return cycles
+    progress = log.events[log.events[:, 0] == EVENT_PROGRESS]
+    return int(progress[-1, 2]) if len(progress) else 0
 
 
 def replay(

@@ -125,18 +125,19 @@ class JobServer:
 
     def submit(self, payload: Any) -> tuple[dict[str, Any], int]:
         """Admit (or dedup-answer) one request; (response body, status)."""
-        if not isinstance(payload, dict):
-            raise ServeError("request body must be a JSON object", status=400)
-        unknown = sorted(set(payload) - {"spec", "mode", "priority"})
-        if unknown:
-            raise ServeError(
-                f"unknown request field(s): {', '.join(unknown)}", status=400
-            )
-        mode = payload.get("mode", "batch")
-        priority = payload.get("priority", 0)
         # Checked before the result-store lookup, so a request's status
-        # never depends on what the store holds.
+        # never depends on what the store holds.  Every 400 counts as
+        # invalid, under the request's mode when it names a known one.
+        mode = payload.get("mode", "batch") if isinstance(payload, dict) else None
         try:
+            if not isinstance(payload, dict):
+                raise ServeError("request body must be a JSON object", status=400)
+            unknown = sorted(set(payload) - {"spec", "mode", "priority"})
+            if unknown:
+                raise ServeError(
+                    f"unknown request field(s): {', '.join(unknown)}", status=400
+                )
+            priority = payload.get("priority", 0)
             check_mode_and_priority(mode, priority)
             spec = JobSpec.from_json(payload.get("spec"))
         except (ServeError, JobSpecError) as error:

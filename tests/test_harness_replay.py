@@ -6,7 +6,9 @@ into a fresh emulator produces *exactly* the statistics a fresh
 window samples included.  ``CoSimResult`` is a frozen dataclass tree
 (PerformanceData → CacheStats → per-core dicts, WindowSample list), so
 one ``==`` compares everything at once; these tests assert it across
-workloads, trace sources, and cache geometries.
+workloads, trace sources, and cache geometries.  ``==`` ignores the
+order of a dict's keys, which a result's digest does not, so every
+comparison also compares ``pickle_digest``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro.cache.emulator import DragonheadConfig
 from repro.core.cosim import CoSimPlatform
 from repro.harness import cli
+from repro.serve.jobspec import pickle_digest
 from repro.harness.replay import (
     EVENT_DATA,
     EVENT_PROGRESS,
@@ -44,6 +47,12 @@ GEOMETRIES = (
 )
 
 
+def assert_same_result(a, b, context="") -> None:
+    """Field-for-field equal and byte-identical when pickled."""
+    assert a == b, f"diverged {context}"
+    assert pickle_digest(a) == pickle_digest(b), f"digests differ {context}"
+
+
 class TestReplayEquivalence:
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_kernel_replay_equals_fresh_runs(self, name):
@@ -54,8 +63,8 @@ class TestReplayEquivalence:
             replayed = replay(log, config)
             # Dataclass equality covers instructions, accesses, filtered
             # count, hit/miss/eviction totals, the per-core dicts, and
-            # every window sample.
-            assert replayed == fresh, f"{name} diverged at {config}"
+            # every window sample; the digest adds their key order.
+            assert_same_result(replayed, fresh, f"{name} at {config}")
 
     def test_synthetic_replay_equals_fresh_runs(self):
         workload = get_workload("PLSA")
@@ -64,7 +73,7 @@ class TestReplayEquivalence:
         for config in GEOMETRIES:
             guest = workload.synthetic_guest(accesses_per_thread=8192, scale=1 / 256)
             fresh = CoSimPlatform(config).run(guest, cores=2)
-            assert replay(log, config) == fresh
+            assert_same_result(replay(log, config), fresh, f"at {config}")
 
     def test_nondefault_quantum_and_noise(self):
         workload = get_workload("FIMI")
@@ -75,7 +84,7 @@ class TestReplayEquivalence:
         fresh = CoSimPlatform(config, quantum=1024, boot_noise_accesses=512).run(
             workload.kernel_guest(), cores=4
         )
-        assert replay(log, config) == fresh
+        assert_same_result(replay(log, config), fresh)
 
     def test_sweep_results_align_with_configs(self):
         workload = get_workload("FIMI")
@@ -149,16 +158,19 @@ def _adversarial_log() -> ReplayLog:
 
 class TestAdversarialStream:
     def test_mixed_size_stream_batched_equals_per_access(self):
-        """Field-for-field ``CoSimResult`` equality between the batched
-        fast path and the per-access message loop (forced by a
-        pass-through snooper wrapped around the emulator)."""
+        """Field-for-field ``CoSimResult`` equality, and equal digests,
+        between the batched fast path and the per-access message loop
+        (forced by a pass-through snooper wrapped around the emulator).
+        Cores 2 and 3 reach some banks before cores 0 and 1, so the
+        digests agree only if every route keeps each bank's per-core
+        dicts in ascending core order."""
         log = _adversarial_log()
         for config in GEOMETRIES:
             batched = replay(log, config)
             with per_event_replay() as snoopers:
                 per_access = replay(log, config)
             assert snoopers[0].chunks > 0
-            assert batched == per_access, f"paths diverged at {config}"
+            assert_same_result(batched, per_access, f"at {config}")
 
     def test_batched_run_passes_sample_audit(self):
         """The differential LRU oracle, sampled, stays green over a

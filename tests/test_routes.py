@@ -4,14 +4,19 @@ One job spec must yield one ``result_digest`` whichever route ran it.
 A *cell* is one (spec, route) pair; it passes when the route's digest
 equals a plain serial ``spec.run()``.
 
-Specs, all FIMI on 2 cores over 1 MB and 4 MB:
+Specs, all over 1 MB and 4 MB, FIMI on 2 cores unless named:
 
 * ``exact`` -- a synthetic capture, 4,096 accesses per thread;
 * ``lenient-inject`` -- ``exact``, lenient, under bus fault injection;
 * ``audit`` -- ``exact`` under the full invariant audit;
 * ``kernel`` -- the instrumented kernel's capture;
 * ``sampled`` -- ``exact`` sampled at ``1024,4`` (8 intervals);
-* ``sampled-degenerate`` -- ``exact`` sampled at ``1m`` (one interval).
+* ``sampled-degenerate`` -- ``exact`` sampled at ``1m`` (one interval);
+* ``mixed-sets`` -- SHOT on 4 cores at footprint scale 1, 4,096
+  accesses per thread, whose replay mixes sets the stack rule resolves
+  with sets that overflow: at 1 MB 14,032 of the 16,384 probed
+  accesses resolve and 2,352 run the loop (136 evictions); at 4 MB all
+  16,384 resolve.
 
 Routes:
 
@@ -93,6 +98,9 @@ SPECS = {
     "kernel": {**EXACT, "source": "kernel"},
     "sampled": {**EXACT, "sample": "1024,4"},
     "sampled-degenerate": {**EXACT, "sample": "1m"},
+    "mixed-sets": {
+        **EXACT, "workload": "SHOT", "cores": 4, "scale": "1",
+    },
 }
 
 SAMPLED = ("sampled", "sampled-degenerate")
@@ -223,7 +231,7 @@ def _resumed(spec: JobSpec, tmp_path: Path):
 def _quota_pressure(spec: JobSpec, tmp_path: Path):
     # Either capture can be the larger entry (the 2-core kernel capture
     # outweighs the 4-core one), so a scratch cache sizes both.
-    other = JobSpec.from_json({**spec.to_json(), "cores": 4})
+    other = JobSpec.from_json({**spec.to_json(), "cores": 2 * spec.cores})
     sizing = TraceCache(tmp_path / "sizing")
     for job in (other, spec):
         job.run(trace_cache=sizing)

@@ -187,6 +187,35 @@ class TestServer:
             server.submit([1, 2])
         assert excinfo.value.status == 400
 
+    def test_every_400_counts_as_invalid(self, server):
+        """A non-object body and unknown request fields are refused
+        before the spec is read, and still count as invalid: under the
+        request's mode when it names one, else under ``unknown``."""
+        from repro.telemetry import runtime as telemetry
+
+        telemetry.configure()
+        try:
+            for payload in (
+                {"spec": SPEC, "extra": 1},
+                {"spec": SPEC, "mode": "interactive", "extra": 1},
+                [1, 2],
+            ):
+                with pytest.raises(ServeError) as excinfo:
+                    server.submit(payload)
+                assert excinfo.value.status == 400
+            requests = telemetry.registry().values_by_label(
+                "repro_serve_requests_total"
+            )
+        finally:
+            telemetry.configure(enabled=False)
+        assert server.counts["invalid"] == 3
+        assert server.counts["submitted"] == 0
+        assert requests == {
+            (("mode", "batch"), ("outcome", "invalid")): 1,
+            (("mode", "interactive"), ("outcome", "invalid")): 1,
+            (("mode", "unknown"), ("outcome", "invalid")): 1,
+        }
+
     @pytest.mark.parametrize(
         "field, value", [("mode", "bogus"), ("mode", ["batch"]), ("priority", "high")]
     )
