@@ -113,9 +113,9 @@ def test_cosim_end_to_end_rate(bench_record):
     ~170k accesses/s (a full per-message single-config run); the bar
     for the batched pipeline is ≥10x that, i.e. ≥1.8M accesses/s on a
     warm replay.  Capture a ~1M-access synthetic stream once, then time
-    the batched replay (one ``emulate_stream`` pass: vectorized bank
-    routing, one probe batch per bank, searchsorted window
-    aggregation).  ``accesses_per_second`` is the gated history metric;
+    the batched replay (one ``emulate_stream`` pass: one probe over
+    the four interleaved CC banks, whose unresolved sets loop bank by
+    bank, one counter update, searchsorted window aggregation).  ``accesses_per_second`` is the gated history metric;
     the per-event message-loop rate on the same log rides along as
     ungated context for the in-run comparison.
 

@@ -145,10 +145,6 @@ def _check_occupancy(emulator) -> AuditCheck:
     for index, bank in enumerate(emulator.banks):
         stats = bank.stats
         resident = bank.resident_count()
-        if resident is None:
-            # FIFO/Random/tree-PLRU keep no inspectable directory;
-            # occupancy is unobservable there, not violated.
-            continue
         expected = stats.misses - stats.evictions
         if resident != expected:
             problems.append(
@@ -161,8 +157,6 @@ def _check_occupancy(emulator) -> AuditCheck:
                 f"{bank.config.num_lines}"
             )
         directory = bank.state_dict()["policy"]
-        if directory.get("kind") != "fastlru":  # type: ignore[union-attr]
-            continue
         lengths = np.asarray(directory["lengths"])  # type: ignore[index]
         tags = np.asarray(directory["tags"])  # type: ignore[index]
         counts = np.clip(lengths, 0, None)

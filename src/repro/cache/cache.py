@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.cache.fastlru import FastLRUKernel
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, note_lines
 from repro.trace.record import AccessKind, TraceChunk
 from repro.units import format_size, is_power_of_two
 
@@ -154,7 +154,7 @@ class SetAssociativeCache:
         if isinstance(policy, FastLRUKernel):
             result = policy.lookup_batch(lines)
             stats.evictions += result.evictions
-            stats.note_batch(kinds, cores, result.hits)
+            note_lines([stats], lines, kinds, cores, result.miss_at)
             return result.misses
         set_mask = self._set_mask
         read_kind = int(AccessKind.READ)
@@ -171,26 +171,6 @@ class SetAssociativeCache:
             misses += not hit
         return misses
 
-    def loop_misses(self, lines: np.ndarray) -> tuple[np.ndarray, int]:
-        """Run lines through the directory in order, uncounted.
-
-        Returns the ascending indices of the misses and the eviction
-        count; the caller accounts them.  The emulator's batched probe
-        sends here every set the stack rule cannot resolve.
-        """
-        policy = self._policy
-        if isinstance(policy, FastLRUKernel):
-            return policy.loop_misses(lines)
-        set_mask = self._set_mask
-        misses = []
-        evictions = 0
-        for i, line in enumerate(lines.tolist()):
-            hit, evicted = policy.lookup(line & set_mask, line)
-            evictions += evicted is not None
-            if not hit:
-                misses.append(i)
-        return np.array(misses, dtype=np.intp), evictions
-
     def access_stream(self, stream) -> CacheStats:
         """Drain a trace stream through the cache; returns final stats."""
         for chunk in stream:
@@ -202,19 +182,11 @@ class SetAssociativeCache:
     def state_dict(self) -> dict[str, object]:
         """The directory, for the occupancy audit and the kernel tests.
 
-        LRU caches dump the kernel's dense numpy representation (two
-        contiguous arrays); other policies travel as the policy object
-        itself.
+        The LRU kernel's dense numpy representation (two contiguous
+        arrays, see :meth:`FastLRUKernel.dump_state`); only LRU caches
+        have one.
         """
-        policy = self._policy
-        if isinstance(policy, FastLRUKernel):
-            policy_state: dict[str, object] = {
-                "kind": "fastlru",
-                **policy.dump_state(),
-            }
-        else:
-            policy_state = {"kind": "pickled", "policy": policy}
-        return {"policy": policy_state}
+        return {"policy": self._policy.dump_state()}
 
     # -- maintenance ------------------------------------------------------
 
@@ -231,20 +203,9 @@ class SetAssociativeCache:
         """
         return self._policy.resident_tags(set_index)
 
-    def resident_count(self) -> int | None:
-        """Total resident lines (occupancy audit); O(num_sets).
-
-        None for policies that don't expose their directory (FIFO,
-        Random, tree-PLRU) — occupancy is then unobservable, not zero.
-        """
-        policy = self._policy
-        if isinstance(policy, FastLRUKernel):
-            return policy.resident_count()
-        if not hasattr(policy, "resident_tags"):
-            return None
-        return sum(
-            len(policy.resident_tags(s)) for s in range(self.config.num_sets)
-        )
+    def resident_count(self) -> int:
+        """Total resident lines (occupancy audit); O(num_sets), LRU only."""
+        return self._policy.resident_count()
 
     def contains_line(self, line: int) -> bool:
         return self._policy.contains(line & self._set_mask, line)
@@ -304,7 +265,8 @@ class FullyAssociativeLRU:
         return hit
 
     def access_chunk(self, chunk: TraceChunk) -> int:
-        result = self._kernel.lookup_batch(chunk.lines(self.line_size))
+        lines = chunk.lines(self.line_size)
+        result = self._kernel.lookup_batch(lines)
         self.stats.evictions += result.evictions
-        self.stats.note_batch(chunk.kinds, chunk.cores, result.hits)
+        note_lines([self.stats], lines, chunk.kinds, chunk.cores, result.miss_at)
         return result.misses

@@ -20,14 +20,18 @@ The model preserves that architecture:
   controllers share the load the way address-interleaved hardware
   banks do, and together they are one array of ``4 * S`` sets (``S``
   sets per bank) indexed by ``l & (4 * S - 1)``.  A batch probes all
-  four as that one array (:meth:`DragonheadEmulator._probe`).
+  four through :func:`~repro.cache.fastlru.probe_lines`, the one probe
+  every LRU cache shares, and counts them with one
+  :func:`~repro.cache.stats.note_lines` (:meth:`DragonheadEmulator._probe`).
 * The CB is :class:`DragonheadEmulator`'s readout side: its
   :class:`~repro.cache.sampling.WindowSampler` closes the 500 µs
-  windows, and :meth:`~DragonheadEmulator.read_performance_data`
-  aggregates the bank counters the host polls.
+  windows from two cumulative counters, the four banks' accesses and
+  misses, and :meth:`~DragonheadEmulator.read_performance_data` merges
+  the bank counters the host polls.
 
 Configuration limits mirror the hardware: cache sizes 1 MB–256 MB, line
-sizes 64 B–4096 B, LRU replacement (Section 3.1).
+sizes 64 B–4096 B, and LRU replacement only (Section 3.1):
+:class:`DragonheadConfig` refuses any other policy.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cache.cache import CacheConfig, SetAssociativeCache
-from repro.cache.fastlru import FastLRUKernel, count_paths, run_starts, stack_pass
-from repro.cache.stats import CacheStats
+from repro.cache.fastlru import probe_lines
+from repro.cache.stats import CacheStats, note_lines
 from repro.faults.report import RECOVERED, DegradationRecord, records_from_counts
 from repro.protocol import Message, MessageCodec, MessageKind
 from repro.cache.sampling import WindowSample, WindowSampler
@@ -79,11 +83,6 @@ def derive_bank_shift(num_banks: int) -> int:
 
 BANK_SHIFT = derive_bank_shift(NUM_BANKS)
 
-#: Precomputed numpy operand for the vectorized bank-routing path.
-#: ``& (NUM_BANKS - 1)`` equals ``% NUM_BANKS`` exactly because
-#: :func:`derive_bank_shift` guarantees a power-of-two bank count.
-_BANK_SHIFT_U64 = np.uint64(BANK_SHIFT)
-
 
 @dataclass(frozen=True, slots=True)
 class DragonheadConfig:
@@ -111,6 +110,13 @@ class DragonheadConfig:
             raise ConfigurationError("cache and line sizes must be powers of two")
         if self.cache_size % NUM_BANKS:
             raise ConfigurationError("cache size must divide across the four CC banks")
+        if self.policy != "lru":
+            # The field stays (it is pickled into every result), but the
+            # CC FPGAs emulate LRU only.  Policy studies run on
+            # SetAssociativeCache (repro-ablations).
+            raise ConfigurationError(
+                f"Dragonhead emulates LRU replacement only, got {self.policy!r}"
+            )
 
     def bank_config(self, bank: int) -> CacheConfig:
         """Geometry of one CC bank (a quarter of the LLC)."""
@@ -340,85 +346,20 @@ class DragonheadEmulator:
     def _probe(self, lines, kinds, cores) -> np.ndarray:
         """Probe one line batch through the four CC banks and count it.
 
-        The banks are one interleaved array of sets, so the batch is
-        probed whole: one repeat collapse, then :func:`stack_pass`
-        resolves every set of an empty LRU bank that receives at most
-        ``associativity`` distinct lines.  Every other set (an
-        overflowing set, a bank that already holds lines, a non-LRU
-        bank) runs its own bank's loop in stream order.  Resolved sets
-        stay in their bank's kernel as arrays until something reads it.
-
-        ``cores`` may be a scalar (the whole batch one core) or a
-        per-access array.  Returns the stream positions of the misses,
-        ascending.
+        The banks are one interleaved array of sets, probed by
+        :func:`~repro.cache.fastlru.probe_lines` and counted by
+        :func:`~repro.cache.stats.note_lines`.  ``cores`` may be a
+        scalar (the whole batch one core) or a per-access array.
+        Returns the stream positions of the misses, ascending.
         """
-        keep = run_starts(lines)
-        collapsed = keep.size < lines.size
-        probe = lines[keep] if collapsed else lines
-        policies = [bank._policy for bank in self.banks]
-        fresh = [isinstance(p, FastLRUKernel) and p.empty for p in policies]
-        found = None
-        if any(fresh):
-            bank_config = self.banks[0].config
-            found = stack_pass(
-                probe, bank_config.num_sets, bank_config.associativity, fresh
-            )
-        if found is None:
-            misses = self._loop(probe)
-        else:
-            loop_at = found.loop_at
-            count_paths(probe.size - (0 if loop_at is None else loop_at.size), 0)
-            misses = [found.misses]
-            if loop_at is not None:
-                misses += [loop_at[at] for at in self._loop(probe[loop_at])]
-            # After the loops, which read only the sets left to them.
-            for policy, resolved in zip(policies, found.resolved):
-                if resolved is not None:
-                    policy.hold(resolved)
-        miss_at = np.concatenate(misses)
-        miss_at.sort()
-        if collapsed:
-            miss_at = keep[miss_at]
-        self._count(lines, kinds, cores, miss_at)
+        miss_at, evictions = probe_lines(
+            lines, [bank._policy for bank in self.banks]
+        )
+        blocks = [bank.stats for bank in self.banks]
+        note_lines(blocks, lines, kinds, cores, miss_at)
+        for stats, bank_evictions in zip(blocks, evictions):
+            stats.evictions += bank_evictions
         return miss_at
-
-    def _loop(self, lines: np.ndarray) -> list[np.ndarray]:
-        """Run each bank's share of ``lines`` through its loop, in order.
-
-        Returns each bank's misses as ascending indices into ``lines``.
-        """
-        bank_of = lines.astype(np.uint8)
-        bank_of &= NUM_BANKS - 1
-        misses = []
-        for b, bank in enumerate(self.banks):
-            at = np.flatnonzero(bank_of == b)
-            if at.size:
-                tags = lines[at] >> _BANK_SHIFT_U64
-                bank_misses, evictions = bank.loop_misses(tags)
-                bank.stats.evictions += evictions
-                misses.append(at[bank_misses])
-        return misses
-
-    def _count(self, lines, kinds, cores, miss_at: np.ndarray) -> None:
-        """Each bank's counters from one bincount keyed by (bank, core, read).
-
-        A second bincount over the keys at the miss positions supplies
-        every bank's misses per core and kind.  The key takes the
-        narrowest unsigned type that holds it (one byte up to 32 cores).
-        """
-        ncores = int(np.max(cores)) + 1
-        size = NUM_BANKS * ncores * 2
-        key = lines.astype(np.min_scalar_type(size - 1))
-        key &= NUM_BANKS - 1
-        key *= ncores
-        key += cores
-        key *= 2
-        key += kinds == int(AccessKind.READ)
-        shape = (NUM_BANKS, ncores, 2)
-        accesses = np.bincount(key, minlength=size).reshape(shape).tolist()
-        misses = np.bincount(key[miss_at], minlength=size).reshape(shape).tolist()
-        for bank, bank_accesses, bank_misses in zip(self.banks, accesses, misses):
-            bank.stats.note_counts(bank_accesses, bank_misses)
 
     def emulate_stream(
         self, chunk: TraceChunk, progress: np.ndarray, filtered: int = 0
@@ -519,8 +460,12 @@ class DragonheadEmulator:
         if message is None:
             return
         if message.kind is MessageKind.CYCLES_COMPLETED:
+            blocks = [bank.stats for bank in self.banks]
             self.sampler.advance(
-                self.af.cycles_completed, self.af.instructions_retired, self.stats
+                self.af.cycles_completed,
+                self.af.instructions_retired,
+                sum(stats.accesses for stats in blocks),
+                sum(stats.misses for stats in blocks),
             )
 
     # -- audit oracle -----------------------------------------------------
@@ -559,12 +504,16 @@ class DragonheadEmulator:
 
     def read_performance_data(self) -> PerformanceData:
         """The host's CB read: configuration, counters, window samples."""
+        stats = self.stats
         self.sampler.finalize(
-            self.af.cycles_completed, self.af.instructions_retired, self.stats
+            self.af.cycles_completed,
+            self.af.instructions_retired,
+            stats.accesses,
+            stats.misses,
         )
         return PerformanceData(
             config=self.config,
-            stats=self.stats,
+            stats=stats,
             instructions_retired=self.af.instructions_retired,
             cycles_completed=self.af.cycles_completed,
             samples=list(self.sampler.samples),

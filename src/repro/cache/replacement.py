@@ -2,8 +2,9 @@
 
 Dragonhead implements LRU in its CC FPGAs; we provide LRU as the default
 plus tree-PLRU (what real LLCs often approximate LRU with), FIFO, and
-random, so the emulator substrate supports policy studies beyond the
-paper's configuration.
+random, so :class:`~repro.cache.cache.SetAssociativeCache` supports
+policy studies beyond the paper's configuration (``repro-ablations``).
+The Dragonhead emulator itself is LRU-only, as the hardware is.
 
 A policy owns the per-set bookkeeping.  The cache calls
 :meth:`ReplacementPolicy.lookup` for each access; the policy reports a

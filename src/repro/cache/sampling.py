@@ -8,9 +8,10 @@ synchronizing counters against both retired instructions and elapsed
 cycles.
 
 :class:`WindowSampler` reproduces that mechanism: every time the
-emulated clock crosses a 500 µs boundary it snapshots the cache
-counters, yielding the per-window series a host reading the CB board
-would log.
+emulated clock crosses a 500 µs boundary it closes a window with the
+growth of two cumulative counters, accesses and misses (the CB's sums
+over the four CC banks), since the last boundary, yielding the
+per-window series a host reading the CB board would log.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.stats import CacheStats
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +47,7 @@ class WindowSample:
 
 
 class WindowSampler:
-    """Samples a :class:`CacheStats` counter block on a cycle schedule.
+    """Samples cumulative access and miss counts on a cycle schedule.
 
     Args:
         frequency_hz: emulated platform clock (Dragonhead emulates the
@@ -87,7 +88,8 @@ class WindowSampler:
         #: the same object appended to :attr:`samples` — the software CB
         #: host-pull.  None (the default) costs one test per window.
         self.on_sample = on_sample
-        self._last_stats = CacheStats()
+        self._last_accesses = 0
+        self._last_misses = 0
         self._last_instructions = 0
         self._last_cycles = 0
         self._window_index = 0
@@ -117,10 +119,17 @@ class WindowSampler:
         if self.on_sample is not None:
             self.on_sample(sample)
 
-    def advance(self, cycles_completed: int, instructions_retired: int, stats: CacheStats) -> None:
+    def advance(
+        self,
+        cycles_completed: int,
+        instructions_retired: int,
+        accesses: int,
+        misses: int,
+    ) -> None:
         """Report progress of the emulated clock.
 
-        Called whenever a cycles-completed message arrives; emits one
+        Called whenever a cycles-completed message arrives, with the
+        cumulative access and miss counts at that point; emits one
         sample per crossed window boundary (several boundaries may be
         crossed by a single coarse-grained message).
         """
@@ -128,27 +137,27 @@ class WindowSampler:
         if self.interpolate and cycles_completed >= self._next_boundary:
             crossed = self._boundaries_upto(cycles_completed) - self._window_index
         if crossed > 1:
-            self._advance_interpolated(crossed, instructions_retired, stats)
+            self._advance_interpolated(crossed, instructions_retired, accesses, misses)
             return
         while cycles_completed >= self._next_boundary:
-            delta = stats.delta(self._last_stats)
             self._emit(
                 WindowSample(
                     index=len(self.samples),
                     cycles=self._next_boundary - self._last_cycles,
                     instructions=instructions_retired - self._last_instructions,
-                    accesses=delta.accesses,
-                    misses=delta.misses,
+                    accesses=accesses - self._last_accesses,
+                    misses=misses - self._last_misses,
                 )
             )
-            self._last_stats = stats.snapshot()
+            self._last_accesses = accesses
+            self._last_misses = misses
             self._last_instructions = instructions_retired
             self._last_cycles = self._next_boundary
             self._window_index += 1
             self._next_boundary = self._boundary(self._window_index + 1)
 
     def _advance_interpolated(
-        self, windows: int, instructions_retired: int, stats: CacheStats
+        self, windows: int, instructions_retired: int, accesses: int, misses: int
     ) -> None:
         """Spread one oversized delta evenly over the windows it spans.
 
@@ -157,8 +166,9 @@ class WindowSampler:
         (integer division, remainders to the earliest windows — exactly
         reproducible from the counters alone).
         """
-        delta = stats.delta(self._last_stats)
         instructions = instructions_retired - self._last_instructions
+        new_accesses = accesses - self._last_accesses
+        new_misses = misses - self._last_misses
 
         def split(total: int, index: int) -> int:
             return total // windows + (1 if index < total % windows else 0)
@@ -169,15 +179,16 @@ class WindowSampler:
                     index=len(self.samples),
                     cycles=self._next_boundary - self._last_cycles,
                     instructions=split(instructions, i),
-                    accesses=split(delta.accesses, i),
-                    misses=split(delta.misses, i),
+                    accesses=split(new_accesses, i),
+                    misses=split(new_misses, i),
                 )
             )
             self._last_cycles = self._next_boundary
             self._window_index += 1
             self._next_boundary = self._boundary(self._window_index + 1)
         self.interpolated_windows += windows - 1
-        self._last_stats = stats.snapshot()
+        self._last_accesses = accesses
+        self._last_misses = misses
         self._last_instructions = instructions_retired
 
     def advance_series(
@@ -190,23 +201,18 @@ class WindowSampler:
         """Batched :meth:`advance`: one call covering a whole progress series.
 
         Equivalent to calling :meth:`advance` once per progress report
-        ``i`` with a stats block whose cumulative access/miss counters
-        equal ``accesses[i]`` / ``misses[i]``.  Window boundaries are
-        located with one ``searchsorted`` over the (non-decreasing)
-        cycle series instead of a per-report clock comparison, and each
-        window's deltas are one ``diff`` of the series at its closers;
-        ``side='left'`` preserves the exact-boundary contract — a report
-        landing exactly on a boundary closes that window *with* its
-        delta, just as the ``>=`` test in the scalar loop does.
+        ``i`` with cumulative counts ``accesses[i]`` and ``misses[i]``.
+        Window boundaries are located with one ``searchsorted`` over the
+        (non-decreasing) cycle series instead of a per-report clock
+        comparison, and each window's deltas are one ``diff`` of the
+        series at its closers; ``side='left'`` preserves the
+        exact-boundary contract — a report landing exactly on a boundary
+        closes that window *with* its delta, just as the ``>=`` test in
+        the scalar loop does.
 
-        Only valid in non-interpolate (strict) mode.  After a series
-        the snapshot carried in ``_last_stats`` holds only the counters
-        window samples read (accesses, hits, misses) — :meth:`finalize`
-        and further :meth:`advance` calls observe identical deltas.
+        Only valid in non-interpolate (strict) mode.
         """
         if self.interpolate:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 "advance_series requires non-interpolate mode; lenient "
                 "runs keep the per-report loop"
@@ -231,8 +237,8 @@ class WindowSampler:
             for series, start in (
                 (boundaries, self._last_cycles),
                 (instructions[closers], self._last_instructions),
-                (accesses[closers], self._last_stats.accesses),
-                (misses[closers], self._last_stats.misses),
+                (accesses[closers], self._last_accesses),
+                (misses[closers], self._last_misses),
             )
         ]
         for cycle, instruction, access, miss in zip(*columns):
@@ -246,29 +252,35 @@ class WindowSampler:
                 )
             )
         closer = int(closers[-1])
-        snapshot = CacheStats()
-        snapshot.accesses = int(accesses[closer])
-        snapshot.misses = int(misses[closer])
-        snapshot.hits = snapshot.accesses - snapshot.misses
-        self._last_stats = snapshot
+        self._last_accesses = int(accesses[closer])
+        self._last_misses = int(misses[closer])
         self._last_instructions = int(instructions[closer])
         self._last_cycles = int(boundaries[-1])
         self._window_index = last
         self._next_boundary = self._boundary(last + 1)
 
-    def finalize(self, cycles_completed: int, instructions_retired: int, stats: CacheStats) -> None:
+    def finalize(
+        self,
+        cycles_completed: int,
+        instructions_retired: int,
+        accesses: int,
+        misses: int,
+    ) -> None:
         """Emit a final partial window at end of run, if non-empty."""
-        delta = stats.delta(self._last_stats)
-        if delta.accesses or instructions_retired > self._last_instructions:
+        if (
+            accesses != self._last_accesses
+            or instructions_retired > self._last_instructions
+        ):
             self._emit(
                 WindowSample(
                     index=len(self.samples),
                     cycles=cycles_completed - self._last_cycles,
                     instructions=instructions_retired - self._last_instructions,
-                    accesses=delta.accesses,
-                    misses=delta.misses,
+                    accesses=accesses - self._last_accesses,
+                    misses=misses - self._last_misses,
                 )
             )
-            self._last_stats = stats.snapshot()
+            self._last_accesses = accesses
+            self._last_misses = misses
             self._last_instructions = instructions_retired
             self._last_cycles = cycles_completed

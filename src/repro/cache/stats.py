@@ -8,6 +8,7 @@ normalized by retired instructions (misses per 1000 instructions).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +31,6 @@ def _bump(counts: dict[int, int], core: int, n: int) -> None:
         items = sorted(counts.items())
         counts.clear()
         counts.update(items)
-
-
-def _dict_delta(now: dict[int, int], before: dict[int, int]) -> dict[int, int]:
-    """Per-core counter differences, dropping cores with no new activity."""
-    delta: dict[int, int] = {}
-    for core, count in now.items():
-        changed = count - before.get(core, 0)
-        if changed:
-            delta[core] = changed
-    return delta
 
 
 @dataclass(slots=True)
@@ -98,55 +89,6 @@ class CacheStats:
         _bump(self.per_core_accesses, core, 1)
         if not hit:
             _bump(self.per_core_misses, core, 1)
-
-    def note_batch(
-        self,
-        kinds: np.ndarray,
-        cores: np.ndarray | int,
-        hits: np.ndarray,
-    ) -> None:
-        """Account a whole chunk of access outcomes, vectorized.
-
-        Equivalent to calling :meth:`note_access` once per access with
-        ``kinds[i] == AccessKind.READ`` / ``cores[i]`` / ``hits[i]``,
-        but using numpy reductions.  ``cores`` may be a scalar when the
-        whole chunk was issued by one core (the emulator's DEX slices).
-        """
-        hits = np.asarray(hits, dtype=bool)
-        if hits.size == 0:
-            return
-        key = (np.asarray(kinds) == int(AccessKind.READ)).astype(np.intp)
-        key += 2 * np.asarray(cores, dtype=np.intp)
-        size = int(key.max()) // 2 * 2 + 2
-        self.note_counts(
-            np.bincount(key, minlength=size).reshape(-1, 2).tolist(),
-            np.bincount(key[~hits], minlength=size).reshape(-1, 2).tolist(),
-        )
-
-    def note_counts(self, accesses, misses) -> None:
-        """Account outcomes already counted per core and access kind.
-
-        ``accesses[core]`` and ``misses[core]`` are ``(writes, reads)``
-        pairs: the accesses and misses of ``core`` by kind.  Per-core
-        dicts keep ascending core order.
-        """
-        for core, ((writes, reads), (write_misses, read_misses)) in enumerate(
-            zip(accesses, misses)
-        ):
-            total = writes + reads
-            if not total:
-                continue
-            miss_count = write_misses + read_misses
-            self.accesses += total
-            self.reads += reads
-            self.writes += writes
-            self.hits += total - miss_count
-            self.misses += miss_count
-            self.read_misses += read_misses
-            self.write_misses += write_misses
-            _bump(self.per_core_accesses, core, total)
-            if miss_count:
-                _bump(self.per_core_misses, core, miss_count)
 
     def conservation_violations(self, label: str = "") -> list[str]:
         """Conservation identities this counter block must satisfy.
@@ -221,43 +163,58 @@ class CacheStats:
                 merged.per_core_misses[core] = merged.per_core_misses.get(core, 0) + n
         return merged
 
-    def snapshot(self) -> "CacheStats":
-        """Return an independent copy of the current counters."""
-        return CacheStats(
-            accesses=self.accesses,
-            hits=self.hits,
-            misses=self.misses,
-            reads=self.reads,
-            writes=self.writes,
-            read_misses=self.read_misses,
-            write_misses=self.write_misses,
-            evictions=self.evictions,
-            prefetches=self.prefetches,
-            prefetch_hits=self.prefetch_hits,
-            per_core_accesses=dict(self.per_core_accesses),
-            per_core_misses=dict(self.per_core_misses),
-        )
 
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since ``earlier`` (window sampling).
+def note_lines(
+    blocks: Sequence[CacheStats],
+    lines: np.ndarray,
+    kinds: np.ndarray,
+    cores: np.ndarray | int,
+    miss_at: np.ndarray,
+) -> None:
+    """Account a batch of line accesses over ``B = len(blocks)`` blocks.
 
-        Per-core dictionaries are differenced like every other counter;
-        cores with no activity inside the window are omitted, matching
-        what :meth:`note_access` would have recorded during the window.
-        """
-        return CacheStats(
-            accesses=self.accesses - earlier.accesses,
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            reads=self.reads - earlier.reads,
-            writes=self.writes - earlier.writes,
-            read_misses=self.read_misses - earlier.read_misses,
-            write_misses=self.write_misses - earlier.write_misses,
-            evictions=self.evictions - earlier.evictions,
-            prefetches=self.prefetches - earlier.prefetches,
-            prefetch_hits=self.prefetch_hits - earlier.prefetch_hits,
-            per_core_accesses=_dict_delta(
-                self.per_core_accesses, earlier.per_core_accesses
-            ),
-            per_core_misses=_dict_delta(self.per_core_misses, earlier.per_core_misses),
-        )
+    Access ``i`` counts in block ``lines[i] & (B - 1)`` (the kernel
+    :func:`~repro.cache.fastlru.probe_lines` sent it to) as a read when
+    ``kinds[i] == AccessKind.READ``, by core ``cores[i]``, and as a miss
+    when ``i`` is in ``miss_at``.  ``cores`` may be a scalar when one
+    core issued the whole batch.  Equivalent, block by block and field
+    by field, to one :meth:`CacheStats.note_access` per access.
+
+    One bincount keyed by (block, core, read) counts the accesses and a
+    second over the keys at the miss positions counts the misses.  The
+    key takes the narrowest unsigned type that holds it (one byte up to
+    32 cores over four blocks).
+    """
+    if not lines.size:
+        return
+    nblocks = len(blocks)
+    ncores = int(np.max(cores)) + 1
+    size = nblocks * ncores * 2
+    key = lines.astype(np.min_scalar_type(size - 1))
+    key &= nblocks - 1
+    key *= ncores
+    key += cores
+    key *= 2
+    key += kinds == int(AccessKind.READ)
+    shape = (nblocks, ncores, 2)
+    accesses = np.bincount(key, minlength=size).reshape(shape).tolist()
+    misses = np.bincount(key[miss_at], minlength=size).reshape(shape).tolist()
+    for stats, block_accesses, block_misses in zip(blocks, accesses, misses):
+        # Per core in ascending order: (writes, reads) accesses and misses.
+        for core, ((writes, reads), (write_misses, read_misses)) in enumerate(
+            zip(block_accesses, block_misses)
+        ):
+            total = writes + reads
+            if not total:
+                continue
+            miss_count = write_misses + read_misses
+            stats.accesses += total
+            stats.reads += reads
+            stats.writes += writes
+            stats.hits += total - miss_count
+            stats.misses += miss_count
+            stats.read_misses += read_misses
+            stats.write_misses += write_misses
+            _bump(stats.per_core_accesses, core, total)
+            if miss_count:
+                _bump(stats.per_core_misses, core, miss_count)

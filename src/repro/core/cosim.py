@@ -73,12 +73,8 @@ class CoSimResult:
 
 
 def attach_audit_oracle(emulator: DragonheadEmulator, mode: str) -> None:
-    """Hook the differential LRU oracle for the chosen audit mode.
-
-    Non-LRU replacement policies have no generic-LRU reference, so
-    they run the audit without the oracle check.
-    """
-    if mode == AUDIT_OFF or emulator.config.policy.lower() != "lru":
+    """Hook the differential LRU oracle for the chosen audit mode."""
+    if mode == AUDIT_OFF:
         return
     bank_config = emulator.config.bank_config(0)
     emulator.attach_oracle(

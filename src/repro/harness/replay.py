@@ -649,15 +649,11 @@ def size_sweep_configs(
     cache_sizes: Sequence[int],
     line_size: int = 64,
     associativity: int = 16,
-    policy: str = "lru",
 ) -> list[DragonheadConfig]:
     """Dragonhead configurations for a cache-size sweep."""
     return [
         DragonheadConfig(
-            cache_size=size,
-            line_size=line_size,
-            associativity=associativity,
-            policy=policy,
+            cache_size=size, line_size=line_size, associativity=associativity
         )
         for size in cache_sizes
     ]

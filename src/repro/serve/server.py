@@ -123,6 +123,15 @@ class JobServer:
 
     # -- submission ---------------------------------------------------
 
+    def note_invalid(self, mode: Any = None) -> None:
+        """Count one request refused with 400, under its mode if known."""
+        self.counts["invalid"] += 1
+        telemetry.counter(
+            "repro_serve_requests_total",
+            mode=mode if mode in MODES else "unknown",
+            outcome="invalid",
+        ).inc()
+
     def submit(self, payload: Any) -> tuple[dict[str, Any], int]:
         """Admit (or dedup-answer) one request; (response body, status)."""
         # Checked before the result-store lookup, so a request's status
@@ -141,12 +150,7 @@ class JobServer:
             check_mode_and_priority(mode, priority)
             spec = JobSpec.from_json(payload.get("spec"))
         except (ServeError, JobSpecError) as error:
-            self.counts["invalid"] += 1
-            telemetry.counter(
-                "repro_serve_requests_total",
-                mode=mode if mode in MODES else "unknown",
-                outcome="invalid",
-            ).inc()
+            self.note_invalid(mode)
             raise ServeError(str(error), status=400) from error
         key = spec.content_key()
         with self._lock:
@@ -343,6 +347,8 @@ def _make_handler(server: JobServer):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -350,14 +356,29 @@ def _make_handler(server: JobServer):
             self._reply(status, {"error": message, "status": status})
 
         def _read_body(self) -> Any:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return None
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as error:
-                raise ServeError(f"request body is not JSON: {error}", status=400)
+            """The JSON request body, None when empty.
+
+            Only a non-negative decimal ``Content-Length`` is read: a
+            negative one would read to EOF, blocking until the client
+            closes.  A bad length leaves the body unread, so the
+            connection closes after the reply.  Every 400 raised here
+            counts as an invalid request, as :meth:`JobServer.submit`'s
+            do.
+            """
+            length = self.headers.get("Content-Length", "").strip() or "0"
+            if length.isascii() and length.isdigit():
+                raw = self.rfile.read(int(length))
+                try:
+                    return json.loads(raw.decode("utf-8")) if raw else None
+                except (ValueError, UnicodeDecodeError) as error:
+                    message = f"request body is not JSON: {error}"
+            else:
+                self.close_connection = True
+                message = (
+                    f"Content-Length must be a non-negative integer, got {length!r}"
+                )
+            server.note_invalid()
+            raise ServeError(message, status=400)
 
         def do_POST(self) -> None:  # noqa: N802 (http.server convention)
             try:

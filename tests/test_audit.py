@@ -23,7 +23,7 @@ from repro.audit import (
 from repro.audit.report import AuditCheck, AuditReport, make_check
 from repro.cache.emulator import DragonheadConfig, DragonheadEmulator
 from repro.core.cosim import CoSimPlatform
-from repro.errors import AuditError
+from repro.errors import AuditError, ConfigurationError
 from repro.faults.report import AUDIT
 from repro.harness.replay import capture_replay_log, replay
 from repro.harness.report import render_audit_report
@@ -95,12 +95,11 @@ class TestCleanRuns:
         assert replayed.audit == fresh.audit
         assert replayed == fresh
 
-    def test_non_lru_policy_runs_without_oracle(self):
-        result = CoSimPlatform(
+    def test_non_lru_policy_refused(self):
+        """The CC FPGAs emulate LRU only, so the emulator refuses any
+        other policy at construction."""
+        with pytest.raises(ConfigurationError):
             DragonheadConfig(cache_size=1 * MB, policy="fifo")
-        ).run(small_guest(), 2, audit=AUDIT_FULL)
-        assert result.audit.ok
-        assert all(c.name != "lru-oracle" for c in result.audit.checks)
 
 
 class TestSeededCorruption:

@@ -1,9 +1,16 @@
 """Tests for cache statistics plumbing and the window sampler."""
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.sampling import WindowSampler
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, note_lines
+from repro.serve.jobspec import pickle_digest
+from repro.trace.record import AccessKind
 from repro.errors import (
     CalibrationError,
     ConfigurationError,
@@ -50,59 +57,63 @@ class TestCacheStats:
         assert merged.per_core_accesses == {0: 4, 1: 2}
         assert merged.per_core_misses == {0: 2, 1: 2}
 
-    def test_snapshot_is_independent(self):
-        stats = self.make()
-        snapshot = stats.snapshot()
-        stats.note_access(0, True, False)
-        assert snapshot.accesses == 3
-        assert stats.accesses == 4
 
-    def test_delta(self):
-        stats = self.make()
-        earlier = stats.snapshot()
-        stats.note_access(0, True, False)
-        stats.note_access(0, True, True)
-        delta = stats.delta(earlier)
-        assert delta.accesses == 2
-        assert delta.misses == 1
+@st.composite
+def line_batches(draw):
+    """(B, batches): access batches over ``B`` interleaved blocks.
 
-    def test_delta_preserves_per_core_counters(self):
-        """Regression: delta used to drop the per-core dictionaries."""
-        stats = self.make()
-        earlier = stats.snapshot()
-        stats.note_access(core=0, is_read=True, hit=False)
-        stats.note_access(core=2, is_read=True, hit=True)
-        stats.note_access(core=2, is_read=False, hit=False)
-        delta = stats.delta(earlier)
-        assert delta.per_core_accesses == {0: 1, 2: 2}
-        assert delta.per_core_misses == {0: 1, 2: 1}
-        # Core 1 was active before the window but not inside it, so it
-        # must be omitted — the same dict note_access would have built.
-        assert 1 not in delta.per_core_accesses
+    A batch is ``(lines, kinds, cores, miss_at)``; ``cores`` is a
+    scalar or one core per access, and cores reach a block in any
+    order across batches.
+    """
+    banks = draw(st.sampled_from([1, 4]))
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=0, max_value=40))
+        lines = draw(st.lists(st.integers(0, 1 << 40), min_size=n, max_size=n))
+        kinds = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            cores = draw(st.integers(0, 40))
+        else:
+            cores = np.array(
+                draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)),
+                dtype=np.uint16,
+            )
+        misses = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        batches.append(
+            (
+                np.array(lines, dtype=np.uint64),
+                np.array(kinds, dtype=np.uint8),
+                cores,
+                np.flatnonzero(misses),
+            )
+        )
+    return banks, batches
 
-    def test_note_batch_matches_note_access(self):
-        """The vectorized accounting equals the per-access accounting."""
-        import numpy as np
 
-        kinds = np.array([0, 1, 0, 0, 1, 0], dtype=np.uint8)
-        cores = np.array([0, 0, 1, 2, 1, 0], dtype=np.uint16)
-        hits = np.array([True, False, False, True, True, False])
-        batched = CacheStats()
-        batched.note_batch(kinds, cores, hits)
-        reference = CacheStats()
-        for kind, core, hit in zip(kinds, cores, hits):
-            reference.note_access(int(core), int(kind) == 0, bool(hit))
-        assert batched == reference
-
-    def test_note_batch_scalar_core(self):
-        import numpy as np
-
-        kinds = np.array([0, 0, 1], dtype=np.uint8)
-        hits = np.array([False, True, False])
-        stats = CacheStats()
-        stats.note_batch(kinds, 3, hits)
-        assert stats.per_core_accesses == {3: 3}
-        assert stats.per_core_misses == {3: 2}
+@settings(max_examples=200, deadline=None)
+@given(line_batches())
+def test_note_lines_matches_note_access(case):
+    """The shared counter update equals one ``note_access`` per access,
+    at B = 1 (a plain cache) and B = 4 (the CC banks): every field, and
+    the per-core dicts in ascending core order."""
+    banks, batches = case
+    batched = [CacheStats() for _ in range(banks)]
+    reference = [CacheStats() for _ in range(banks)]
+    for lines, kinds, cores, miss_at in batches:
+        note_lines(batched, lines, kinds, cores, miss_at)
+        missed = set(miss_at.tolist())
+        for i, line in enumerate(lines.tolist()):
+            core = cores if isinstance(cores, int) else int(cores[i])
+            reference[line & (banks - 1)].note_access(
+                core, int(kinds[i]) == int(AccessKind.READ), i not in missed
+            )
+    for got, want in zip(batched, reference):
+        for field in dataclasses.fields(CacheStats):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert list(got.per_core_accesses) == sorted(got.per_core_accesses)
+        assert list(got.per_core_misses) == sorted(got.per_core_misses)
+        assert pickle_digest(got) == pickle_digest(want)
 
 
 class TestWindowSampler:
@@ -116,10 +127,14 @@ class TestWindowSampler:
         for i in range(accesses):
             stats.note_access(0, True, hit=i >= misses)
 
+    @staticmethod
+    def counts(stats: CacheStats) -> tuple[int, int]:
+        return stats.accesses, stats.misses
+
     def test_single_boundary(self):
         sampler, stats = self.make()
         self.feed(stats, 10, 4)
-        sampler.advance(1000, 500, stats)
+        sampler.advance(1000, 500, *self.counts(stats))
         assert len(sampler.samples) == 1
         sample = sampler.samples[0]
         assert sample.accesses == 10 and sample.misses == 4
@@ -130,7 +145,7 @@ class TestWindowSampler:
         """One cycles-completed message may cross several boundaries."""
         sampler, stats = self.make()
         self.feed(stats, 6, 2)
-        sampler.advance(3500, 900, stats)
+        sampler.advance(3500, 900, *self.counts(stats))
         assert len(sampler.samples) == 3
         # All activity lands in the first emitted window; later windows
         # carry zero deltas.
@@ -140,9 +155,9 @@ class TestWindowSampler:
     def test_finalize_partial_window(self):
         sampler, stats = self.make()
         self.feed(stats, 4, 1)
-        sampler.advance(1000, 100, stats)
+        sampler.advance(1000, 100, *self.counts(stats))
         self.feed(stats, 3, 3)
-        sampler.finalize(1400, 150, stats)
+        sampler.finalize(1400, 150, *self.counts(stats))
         assert len(sampler.samples) == 2
         assert sampler.samples[1].accesses == 3
         assert sampler.samples[1].cycles == 400
@@ -150,14 +165,14 @@ class TestWindowSampler:
     def test_finalize_empty_tail_suppressed(self):
         sampler, stats = self.make()
         self.feed(stats, 2, 1)
-        sampler.advance(1000, 100, stats)
-        sampler.finalize(1000, 100, stats)
+        sampler.advance(1000, 100, *self.counts(stats))
+        sampler.finalize(1000, 100, *self.counts(stats))
         assert len(sampler.samples) == 1
 
     def test_window_miss_ratio(self):
         sampler, stats = self.make()
         self.feed(stats, 10, 5)
-        sampler.advance(1000, 100, stats)
+        sampler.advance(1000, 100, *self.counts(stats))
         assert sampler.samples[0].miss_ratio == pytest.approx(0.5)
 
     def test_exact_boundary_closes_window_with_its_delta(self):
@@ -166,16 +181,16 @@ class TestWindowSampler:
         the ``>=`` contract both the scalar and batched paths share."""
         sampler, stats = self.make()
         self.feed(stats, 5, 2)
-        sampler.advance(999, 50, stats)
+        sampler.advance(999, 50, *self.counts(stats))
         assert sampler.samples == []  # one cycle short: window still open
         self.feed(stats, 1, 0)
-        sampler.advance(1000, 60, stats)  # clock == boundary
+        sampler.advance(1000, 60, *self.counts(stats))  # clock == boundary
         assert len(sampler.samples) == 1
         sample = sampler.samples[0]
         assert sample.accesses == 6 and sample.misses == 2
         assert sample.instructions == 60 and sample.cycles == 1000
         # Nothing carried past the boundary: the tail window is empty.
-        sampler.finalize(1000, 60, stats)
+        sampler.finalize(1000, 60, *self.counts(stats))
         assert len(sampler.samples) == 1
 
     def test_fractional_window_width_does_not_drift(self):
@@ -186,13 +201,12 @@ class TestWindowSampler:
         import math
 
         sampler = WindowSampler(frequency_hz=3.333e6, interval_us=500.0)
-        stats = CacheStats()
         width = 3.333e6 * 500.0 * 1e-6
         assert width == 1666.5
         total = 10_000_000
         for clock in range(1666, total + 1, 1666):
-            sampler.advance(clock, 0, stats)
-        sampler.advance(total, 0, stats)
+            sampler.advance(clock, 0, 0, 0)
+        sampler.advance(total, 0, 0, 0)
         assert len(sampler.samples) == math.floor(total / width)  # not 6002
         # Every emitted window ends on a reference boundary.
         assert sum(s.cycles for s in sampler.samples) == math.ceil(
@@ -204,22 +218,12 @@ class TestWindowSampler:
         its boundary series must be exactly k * cycles_per_window."""
         sampler = WindowSampler()  # the emulator's default
         assert sampler.cycles_per_window == 50_000
-        stats = CacheStats()
-        sampler.advance(150_000, 0, stats)
+        sampler.advance(150_000, 0, 0, 0)
         assert [s.cycles for s in sampler.samples] == [50_000] * 3
 
     def test_advance_series_matches_advance_loop(self):
         """The batched searchsorted aggregation equals the per-report
         loop on a randomized progress series, finalize tail included."""
-        import numpy as np
-
-        def cumulative_stats(accesses: int, misses: int) -> CacheStats:
-            stats = CacheStats()
-            stats.accesses = accesses
-            stats.misses = misses
-            stats.hits = accesses - misses
-            return stats
-
         rng = np.random.default_rng(9)
         reports = 48
         cycles = np.cumsum(rng.integers(0, 2500, size=reports))
@@ -232,14 +236,15 @@ class TestWindowSampler:
             loop.advance(
                 int(cycles[i]),
                 int(instructions[i]),
-                cumulative_stats(int(accesses[i]), int(misses[i])),
+                int(accesses[i]),
+                int(misses[i]),
             )
         batched = WindowSampler(frequency_hz=2e6, interval_us=500.0)
         batched.advance_series(cycles, instructions, accesses, misses)
         assert batched.samples == loop.samples
-        final = cumulative_stats(int(accesses[-1]) + 3, int(misses[-1]) + 1)
-        loop.finalize(int(cycles[-1]) + 123, int(instructions[-1]) + 5, final)
-        batched.finalize(int(cycles[-1]) + 123, int(instructions[-1]) + 5, final)
+        final = (int(accesses[-1]) + 3, int(misses[-1]) + 1)
+        loop.finalize(int(cycles[-1]) + 123, int(instructions[-1]) + 5, *final)
+        batched.finalize(int(cycles[-1]) + 123, int(instructions[-1]) + 5, *final)
         assert batched.samples == loop.samples
 
     def test_advance_series_refused_in_interpolate_mode(self):

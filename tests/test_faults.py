@@ -14,7 +14,6 @@ import pytest
 
 from repro.cache.emulator import AddressFilter, DragonheadConfig, DragonheadEmulator
 from repro.cache.sampling import WindowSampler
-from repro.cache.stats import CacheStats
 from repro.errors import FaultInjectionError, RecoverableProtocolError
 from repro.faults import FaultInjector, FaultSpec, inject_trace_corruption
 from repro.faults.report import (
@@ -176,11 +175,8 @@ class TestWindowInterpolation:
     def test_multi_boundary_delta_is_spread(self):
         plain = WindowSampler(frequency_hz=1e6, interval_us=1.0)  # 1 cycle/window
         lenient = WindowSampler(frequency_hz=1e6, interval_us=1.0, interpolate=True)
-        stats = CacheStats()
-        stats.accesses = 90
-        stats.misses = 9
         for sampler in (plain, lenient):
-            sampler.advance(3, 300, stats)  # one report crossing 3 windows
+            sampler.advance(3, 300, 90, 9)  # one report crossing 3 windows
         # Default: one fat window then empties; lenient: an even split.
         assert [s.instructions for s in plain.samples] == [300, 0, 0]
         assert [s.instructions for s in lenient.samples] == [100, 100, 100]
@@ -192,9 +188,7 @@ class TestWindowInterpolation:
 
     def test_remainder_goes_to_earliest_windows(self):
         sampler = WindowSampler(frequency_hz=1e6, interval_us=1.0, interpolate=True)
-        stats = CacheStats()
-        stats.accesses = 7
-        sampler.advance(3, 7, stats)
+        sampler.advance(3, 7, 7, 0)
         assert [s.accesses for s in sampler.samples] == [3, 2, 2]
 
 

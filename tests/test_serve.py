@@ -305,6 +305,47 @@ class TestHTTP:
             client.job("job-424242")
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize(
+        "headers, body",
+        [
+            ("Content-Type: application/json\r\nContent-Length: 8", b"not json"),
+            ("Content-Length: abc", b"{}"),
+            ("Content-Length: -1", b"{}"),
+        ],
+        ids=["not-json", "length-abc", "length-negative"],
+    )
+    def test_bad_body_is_a_counted_400(self, server, headers, body):
+        """A body that cannot be read as JSON gets a 400 reply at once
+        and counts as invalid, as ``submit``'s refusals do.  A raw
+        socket sends the header as given; the client keeps its end
+        open, so a server that reads to EOF would never answer."""
+        import socket
+
+        from repro.telemetry import runtime as telemetry
+
+        telemetry.configure()
+        try:
+            host, port = server.start_http("127.0.0.1", 0)
+            request = (
+                f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n{headers}\r\n\r\n"
+            ).encode("ascii")
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(request + body)
+                reply = b""
+                while b"\r\n\r\n" not in reply:
+                    chunk = sock.recv(4096)
+                    assert chunk, f"connection closed without a reply: {reply!r}"
+                    reply += chunk
+            requests = telemetry.registry().values_by_label(
+                "repro_serve_requests_total"
+            )
+        finally:
+            telemetry.configure(enabled=False)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert server.counts["invalid"] == 1
+        assert server.counts["submitted"] == 0
+        assert requests == {(("mode", "unknown"), ("outcome", "invalid")): 1}
+
     def test_drain_endpoint_stops_admission(self, client):
         assert client.drain()["draining"] is True
         deadline = time.monotonic() + 5
