@@ -57,6 +57,31 @@ class TestCacheStats:
         assert merged.per_core_accesses == {0: 4, 1: 2}
         assert merged.per_core_misses == {0: 2, 1: 2}
 
+    def test_note_batch_matches_note_access(self):
+        """The vectorized accounting equals the per-access accounting."""
+        kinds = np.array([0, 1, 0, 0, 1, 0], dtype=np.uint8)
+        cores = np.array([0, 0, 1, 2, 1, 0], dtype=np.uint16)
+        hits = np.array([True, False, False, True, True, False])
+        lines = np.arange(kinds.size, dtype=np.uint64)
+        batched = CacheStats()
+        note_lines([batched], lines, kinds, cores, np.flatnonzero(~hits))
+        reference = CacheStats()
+        for kind, core, hit in zip(kinds, cores, hits):
+            reference.note_access(
+                int(core), int(kind) == int(AccessKind.READ), bool(hit)
+            )
+        assert batched == reference
+
+    def test_note_batch_scalar_core(self):
+        kinds = np.array([0, 0, 1], dtype=np.uint8)
+        hits = np.array([False, True, False])
+        lines = np.arange(kinds.size, dtype=np.uint64)
+        stats = CacheStats()
+        note_lines([stats], lines, kinds, 3, np.flatnonzero(~hits))
+        assert stats.accesses == 3 and stats.misses == 2
+        assert stats.per_core_accesses == {3: 3}
+        assert stats.per_core_misses == {3: 2}
+
 
 @st.composite
 def line_batches(draw):
